@@ -13,6 +13,7 @@ table matched structurally against the rule set.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -136,14 +137,21 @@ def _instantiate(rule, child_spans, tokens):
 def parse_chart(lcfrs: Lcfrs, tokens: list[str]):
     """Viterbi chart over (nonterminal, spans) items.
 
+    Items leave a heap agenda shortest total yield first, heaviest first
+    within a length.  A child yields at least one token and a unit rule
+    weighs <= 1, so every derivation of an item is built from items popped
+    before it: an item is final when popped and is combined once, with final
+    items only.
+
     Ties in weight (within 1e-12 in log space) break toward the
     lexicographically smallest pre-order rule-id sequence, which makes golden
     trees deterministic.
     """
     rules = [r for r in lcfrs.rules if r.weight > 0.0]
     chart: dict[tuple[str, Spans], _Entry] = {}
-    by_nt: dict[str, set[Spans]] = {}
-    agenda: list[tuple[str, Spans]] = []
+    final: dict[str, list[Spans]] = {}
+    popped: set[tuple[str, Spans]] = set()
+    agenda: list[tuple[int, float, tuple[str, Spans]]] = []
 
     def offer(nt, spans, entry):
         key = (nt, spans)
@@ -156,8 +164,7 @@ def parse_chart(lcfrs: Lcfrs, tokens: list[str]):
             if not (better or tied_better):
                 return
         chart[key] = entry
-        by_nt.setdefault(nt, set()).add(spans)
-        agenda.append(key)
+        heapq.heappush(agenda, (sum(e - s for s, e in spans), -entry.logw, key))
 
     # Leaves: rules with no children enumerate terminal anchors per component.
     for rule in rules:
@@ -188,25 +195,19 @@ def parse_chart(lcfrs: Lcfrs, tokens: list[str]):
         for child_nt in set(rule.rhs):
             rules_by_child.setdefault(child_nt, []).append(rule)
 
-    guard = 0
-    max_updates = 10000 + 500 * (len(tokens) ** 2 + 1) * max(1, len(rules))
     while agenda:
-        guard += 1
-        if guard > max_updates:
-            raise ParseError("chart update limit exceeded (cyclic unit rules?)")
-        nt, spans = agenda.pop()
-        key_entry = chart.get((nt, spans))
-        if key_entry is None:
+        key = heapq.heappop(agenda)[2]
+        if key in popped:
             continue
+        popped.add(key)
+        nt, spans = key
+        final.setdefault(nt, []).append(spans)
         for rule in rules_by_child.get(nt, []):
-            slots = [i for i, r in enumerate(rule.rhs) if r == nt]
-            for slot in slots:
-                per_slot = []
-                for j, child_nt in enumerate(rule.rhs):
-                    if j == slot:
-                        per_slot.append([spans])
-                    else:
-                        per_slot.append(sorted(by_nt.get(child_nt, ())))
+            for slot in [i for i, r in enumerate(rule.rhs) if r == nt]:
+                per_slot = [
+                    [spans] if j == slot else final.get(child_nt, [])
+                    for j, child_nt in enumerate(rule.rhs)
+                ]
                 for combo in product(*per_slot):
                     inst = _instantiate(rule, combo, tokens)
                     if inst is None:
@@ -244,93 +245,6 @@ def best_parse(lcfrs: Lcfrs, tokens: list[str]):
             "string %r is not in the grammar's language" % " ".join(tokens)
         )
     return chart[goal], chart
-
-
-def enumerate_derivations(lcfrs: Lcfrs, tokens: list[str]):
-    """Exhaustively enumerate (log-weight, tag-sequence) over all derivations.
-
-    Independent oracle for MAP optimality tests: a plain recursive splitter
-    with no Viterbi logic, feasible for short strings only.
-    """
-    rules_by_lhs: dict[str, list[LcfrsRule]] = {}
-    for rule in lcfrs.rules:
-        if rule.weight > 0.0:
-            rules_by_lhs.setdefault(rule.lhs, []).append(rule)
-
-    memo: dict[tuple[str, Spans], list] = {}
-
-    def fill(template, span, results):
-        """All child-component bindings that let `template` cover `span`."""
-
-        def step(idx, pos, bound):
-            if idx == len(template):
-                if pos == span[1]:
-                    results.append(bound)
-                return
-            piece = template[idx]
-            if piece[0] == "t":
-                if pos < span[1] and tokens[pos] == piece[1]:
-                    step(idx + 1, pos + 1, bound)
-            else:
-                remaining_min = len(template) - idx - 1
-                for end in range(pos + 1, span[1] - remaining_min + 1):
-                    step(idx + 1, end, bound + [((piece[1], piece[2]), (pos, end))])
-
-        step(0, span[0], [])
-
-    def derive(nt: str, spans: Spans):
-        key = (nt, spans)
-        if key in memo:
-            return memo[key]
-        memo[key] = []
-        out = []
-        for rule in rules_by_lhs.get(nt, []):
-            if len(rule.templates) != len(spans):
-                continue
-            per_comp: list[list] = []
-            feasible = True
-            for template, span in zip(rule.templates, spans):
-                results: list = []
-                fill(template, span, results)
-                if not results:
-                    feasible = False
-                    break
-                per_comp.append(results)
-            if not feasible:
-                continue
-            for combo in product(*per_comp):
-                bindings: dict[tuple[int, int], tuple[int, int]] = {}
-                ok = True
-                for comp_bound in combo:
-                    for slot, interval in comp_bound:
-                        if slot in bindings and bindings[slot] != interval:
-                            ok = False
-                        bindings[slot] = interval
-                if not ok:
-                    continue
-                child_spans: list[Spans] = []
-                for ci in range(len(rule.rhs)):
-                    comps = sorted(cj for (c, cj) in bindings if c == ci)
-                    if comps != list(range(len(comps))) or not comps:
-                        ok = False
-                        break
-                    child_spans.append(tuple(bindings[(ci, cj)] for cj in comps))
-                if not ok:
-                    continue
-                child_results = [
-                    derive(child_nt, child_spans[ci])
-                    for ci, child_nt in enumerate(rule.rhs)
-                ]
-                if any(not res for res in child_results):
-                    continue
-                for picked in product(*child_results):
-                    logw = math.log(rule.weight) + sum(pr[0] for pr in picked)
-                    tagseq = rule.tags + tuple(tag for pr in picked for tag in pr[1])
-                    out.append((logw, tagseq))
-        memo[key] = out
-        return out
-
-    return derive(lcfrs.start, ((0, len(tokens)),))
 
 
 # ---------------------------------------------------------------------------
@@ -612,45 +526,3 @@ def lcfrs_for(g: Grammar) -> Lcfrs:
             _conversion_cache.clear()
         _conversion_cache[key] = grammar_to_lcfrs(g)
     return _conversion_cache[key]
-
-
-def triangle_conversion_tags(tokens, g: Grammar) -> list[str]:
-    """Reconstruct the swap/conversion applications a sentential-form
-    derivation of `tokens` uses in the built-in family.
-
-    A b after the d-block converts at the d-boundary, a b after a b by
-    b-propagation (falling back to the unit rule when the context rule is
-    inactive); c's convert at the b- or c-boundary.  The swap count is the
-    number of crossed (b_j, c_i) pairs with j > i, which is exactly how many
-    CB -> BC exchanges the rewriting needs.
-    """
-    shape = match_triangle(g)
-    if shape is None:
-        raise UnsupportedGrammarError("not the built-in context-sensitive family")
-    tags: list[str] = []
-    prev = shape.d
-    b_seen = 0
-    b_before_each_c: list[int] = []
-    for tok in tokens:
-        if tok == shape.d:
-            prev = shape.d
-        elif tok == shape.b:
-            b_seen += 1
-            if prev == shape.d and shape.conv_db:
-                tags.append(shape.conv_db)
-            elif prev == shape.b and shape.conv_bb:
-                tags.append(shape.conv_bb)
-            elif shape.unit_b:
-                tags.append(shape.unit_b)
-            prev = shape.b
-        elif tok == shape.c:
-            b_before_each_c.append(b_seen)
-            tags.append(shape.conv_bc if prev == shape.b else shape.conv_cc)
-            prev = shape.c
-        else:
-            raise ValueError(f"token {tok!r} is not in the family alphabet")
-    n_swaps = sum(
-        max(0, n_b - i) for i, n_b in enumerate(b_before_each_c, start=1)
-    )
-    tags.extend([shape.swap] * n_swaps)
-    return tags

@@ -286,13 +286,6 @@ def parse(
     )
 
 
-def chart_size(s, g: Grammar) -> int:
-    """Number of chart items built while parsing `s` (for complexity checks)."""
-    tokens = list(s)
-    lc = lcfrs_for(g)
-    return len(lcfrs.parse_chart(lc, tokens))
-
-
 # ---------------------------------------------------------------------------
 # Feature graphs
 # ---------------------------------------------------------------------------

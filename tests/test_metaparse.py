@@ -6,33 +6,32 @@ from hypothesis import strategies as st
 from groupintent.grammar import (
     SCFG_RULE_IDS,
     SRG_RULE_IDS,
-    restricted,
+    Grammar,
+    ProductionRule,
     generate,
+    nt,
+    restricted,
+    t,
     triangle_grammar,
 )
+from groupintent.harness import reference_grammar
 from groupintent.kinematics import (
     MultiTargetFrame,
     TrackEstimate,
     direction_vector,
 )
-from groupintent.lcfrs import (
-    ParseError,
-    UnsupportedGrammarError,
-    enumerate_derivations,
-    lcfrs_for,
-    triangle_conversion_tags,
-)
+from groupintent.lcfrs import ParseError, UnsupportedGrammarError, lcfrs_for
 from groupintent.metaparse import (
     FeatureGraph,
     ParseTree,
     TreeNode,
     chain_graph,
-    chart_size,
     encode,
     merge_tracks,
     parse,
     tree_to_graph,
 )
+from lcfrs_oracle import enumerate_derivations, triangle_conversion_tags
 
 
 def estimate(velocity, k=0):
@@ -193,20 +192,57 @@ def test_round_trip_all_classes():
             assert parse(s, sub).leaf_yield() == s
 
 
+def short_samples(g, minimum):
+    strings = {s for s in (generate(g, seed) for seed in range(400)) if len(s) <= 6}
+    assert len(strings) >= minimum
+    return sorted(strings)
+
+
+def cyclic_unit_grammar(probs):
+    """S -> A | a | A a, A -> S | a.  A unit rule's parent has the same yield
+    length as its child, and S -> A a carries a unit-derived A into a longer
+    item, so an A finalized before its best derivation shows at the root."""
+    S, A, a = nt("S"), nt("A"), t("a")
+    rules = (
+        ProductionRule("SA", (S,), (A,)),
+        ProductionRule("Sa", (S,), (a,)),
+        ProductionRule("SAa", (S,), (A, a)),
+        ProductionRule("AS", (A,), (S,)),
+        ProductionRule("Aa", (A,), (a,)),
+    )
+    return Grammar(frozenset({"S", "A"}), frozenset({"a"}), "S", rules, probs)
+
+
 def test_map_parse_matches_brute_force_enumeration():
     g = triangle_grammar()
-    lc = lcfrs_for(g)
-    strings = set()
-    for seed in range(400):
-        s = generate(g, seed)
-        if len(s) <= 6:
-            strings.add(s)
-    assert len(strings) >= 8
-    for s in strings:
-        tree = parse(s, g)
-        derivations = enumerate_derivations(lc, list(s))
+    cases = [(g, s) for s in short_samples(g, 8)]
+    # The restricted classes go through the generic CFG conversion.
+    for ids in (SRG_RULE_IDS, SCFG_RULE_IDS):
+        sub = restricted(g, ids)
+        cases += [(sub, s) for s in short_samples(sub, 4)]
+    unit_weights = (
+        # S -> a wins.
+        {"SA": 0.4, "Sa": 0.3, "SAa": 0.3, "AS": 0.5, "Aa": 0.5},
+        # A's best derivation runs through S: A -> S -> a.
+        {"SA": 0.1, "Sa": 0.6, "SAa": 0.3, "AS": 0.9, "Aa": 0.1},
+        # S's best derivation runs through A: S -> A -> a.
+        {"SA": 0.9, "Sa": 0.05, "SAa": 0.05, "AS": 0.1, "Aa": 0.9},
+        # S -> a ties S -> A -> a (0.1 == 0.8 * 0.125).
+        {"SA": 0.8, "Sa": 0.1, "SAa": 0.1, "AS": 0.875, "Aa": 0.125},
+    )
+    for probs in unit_weights:
+        cases += [(cyclic_unit_grammar(probs), s) for s in (("a",), ("a", "a"))]
+    for grammar, s in cases:
+        tree = parse(s, grammar)
+        derivations = enumerate_derivations(lcfrs_for(grammar), list(s))
         best = max(logw for logw, _ in derivations)
         assert tree.log_probability == pytest.approx(best, abs=1e-9)
+        tied = sorted(
+            tagseq
+            for logw, tagseq in derivations
+            if logw == pytest.approx(tree.log_probability, abs=1e-12)
+        )
+        assert tuple(tree.applied_rules()) == tied[0]
 
 
 def test_viterbi_tie_break_prefers_smallest_rule_sequence():
@@ -229,9 +265,33 @@ def test_viterbi_tie_break_prefers_smallest_rule_sequence():
 
 def test_chart_growth_polynomial():
     g = triangle_grammar()
-    small = chart_size(list("dddd" + "bb" + "cc"), g)        # length 8
-    big = chart_size(list("dddddddd" + "bbbb" + "cccc"), g)  # length 16
+    small = parse(list("dddd" + "bb" + "cc"), g).chart_items        # length 8
+    big = parse(list("dddddddd" + "bbbb" + "cccc"), g).chart_items  # length 16
     assert big <= 64 * small
+
+
+# Sweep strings of 21-24 tokens under the reference grammar: chart size, MAP
+# rule sequence and log-probability, frozen from the parser's output.
+LONG_GOLDENS = (
+    ("ddddddddbbbcbcbcbbbcc", 434,
+     ["V", "IV", "VII", "VII", "VII", "IV", "VII", "VII"], -14.334075753824438),
+    ("ddddddddbbcbcbcbbcbcbc", 466,
+     ["V", "VII", "VII", "VII", "IV", "VII", "VII", "VII"], -14.334075753824438),
+    ("ddddddddddbbbbbbbccccccc", 524,
+     ["I", "I", "I", "VIII", "VII", "VII", "VII", "VII", "VII", "VII"],
+     -17.91759469228055),
+)
+
+
+@pytest.mark.parametrize(
+    "s, chart_items, rules, log_probability", LONG_GOLDENS,
+    ids=[case[0] for case in LONG_GOLDENS],
+)
+def test_long_string_goldens(s, chart_items, rules, log_probability):
+    tree = parse(tuple(s), reference_grammar())
+    assert tree.chart_items == chart_items
+    assert tree.applied_rules() == rules
+    assert tree.log_probability == pytest.approx(log_probability, abs=1e-12)
 
 
 # --- tree_to_graph ----------------------------------------------------------
