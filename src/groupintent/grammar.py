@@ -97,12 +97,6 @@ class Grammar:
             groups.setdefault(rule.lhs, []).append(rule)
         return groups
 
-    def rule_by_id(self, rule_id: str) -> ProductionRule:
-        for rule in self.rules:
-            if rule.id == rule_id:
-                return rule
-        raise KeyError(rule_id)
-
     def positive_rules(self) -> list[ProductionRule]:
         return [r for r in self.rules if self.probs.get(r.id, 0.0) > 0.0]
 
@@ -297,23 +291,6 @@ def generate(g: Grammar, seed: int, max_steps: int = 10_000) -> tuple[str, ...]:
     """Sample a terminal string (see derivation_trace for the semantics)."""
     string, _ = derivation_trace(g, seed, max_steps)
     return string
-
-
-def replay_trace(g: Grammar, trace) -> tuple[str, ...]:
-    """Deterministically re-apply a recorded trace; returns the final string."""
-    form: list[Symbol] = [nt(g.start)]
-    for step in trace:
-        rule = g.rule_by_id(step.rule_id)
-        k = len(rule.lhs)
-        if tuple(form[step.position : step.position + k]) != rule.lhs:
-            raise GrammarError(f"trace step {step} does not match the form")
-        replacement = [
-            t(step.emitted) if sym.kind == "noise" else sym for sym in rule.rhs
-        ]
-        form[step.position : step.position + k] = replacement
-    if any(s.kind != "terminal" for s in form):
-        raise GrammarError("trace ends with nonterminals remaining")
-    return tuple(s.name for s in form)
 
 
 def grammar_to_json(g: Grammar) -> str:

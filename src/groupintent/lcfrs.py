@@ -134,6 +134,62 @@ def _instantiate(rule, child_spans, tokens):
     return tuple(comp_spans), tuple(sorted(positions))
 
 
+def _sibling_plans(rules):
+    """Per child nonterminal, its (rule, popped slot, lookups) plans, and per
+    nonterminal, the signatures its final items are indexed under.
+
+    Consecutive variables of a template with g terminals between them must
+    abut across the gap: start of the right one = end of the left one + g.
+    Starting from the popped slot, each sibling in turn is looked up under
+    every such boundary it shares with the popped item or an earlier sibling.
+    A lookup is (sibling, signature, sources): the signature lists the
+    sibling's (component, side) boundaries, side 0 = start and 1 = end, and
+    each source (child, component, side, offset) gives one boundary value
+    from a child already fixed.
+    """
+    plans: dict[str, list] = {}
+    signatures: dict[str, set] = {}
+    for rule in rules:
+        links = []
+        for template in rule.templates:
+            prev, gap = None, 0
+            for piece in template:
+                if piece[0] == "t":
+                    gap += 1
+                    continue
+                if prev is not None:
+                    links.append((prev, piece[1:], gap))
+                prev, gap = piece[1:], 0
+        for slot, child_nt in enumerate(rule.rhs):
+            fixed = {slot}
+            lookups = []
+            while len(fixed) < len(rule.rhs):
+                for sib in range(len(rule.rhs)):
+                    if sib in fixed:
+                        continue
+                    bounds = []
+                    for (a, x), (b, y), gap in links:
+                        if b == sib and a in fixed:
+                            bounds.append(((y, 0), (a, x, 1, gap)))
+                        elif a == sib and b in fixed:
+                            bounds.append(((x, 1), (b, y, 0, -gap)))
+                    if bounds:
+                        break
+                else:
+                    raise AssertionError(
+                        f"rule {rule.tags}: a sibling of slot {slot} touches "
+                        "no boundary of the popped item or an earlier sibling"
+                    )
+                bounds.sort()
+                signature = tuple(bound for bound, _ in bounds)
+                sources = tuple(source for _, source in bounds)
+                lookups.append((sib, signature, sources))
+                signatures.setdefault(rule.rhs[sib], set()).add(signature)
+                fixed.add(sib)
+            plans.setdefault(child_nt, []).append((rule, slot, lookups))
+    return plans, signatures
+
+
 def parse_chart(lcfrs: Lcfrs, tokens: list[str]):
     """Viterbi chart over (nonterminal, spans) items.
 
@@ -143,13 +199,22 @@ def parse_chart(lcfrs: Lcfrs, tokens: list[str]):
     before it: an item is final when popped and is combined once, with final
     items only.
 
+    Final items are indexed by span boundary (Kallmeyer & Maier 2013).  For
+    each rule and popped slot, every sibling is looked up by all of its
+    component starts and ends that sit next to a component of the popped
+    item or of an earlier sibling, with only terminals between them; a
+    fan-out-2 sibling of the triangle table is thus keyed on both of its
+    boundaries, and a third CFG child on its chain neighbour.
+    `_instantiate` accepts a combination only if consecutive pieces of every
+    template abut, which forces each of those equalities, so the index skips
+    only combinations it would reject and no derivation is lost.
+
     Ties in weight (within 1e-12 in log space) break toward the
     lexicographically smallest pre-order rule-id sequence, which makes golden
     trees deterministic.
     """
     rules = [r for r in lcfrs.rules if r.weight > 0.0]
     chart: dict[tuple[str, Spans], _Entry] = {}
-    final: dict[str, list[Spans]] = {}
     popped: set[tuple[str, Spans]] = set()
     agenda: list[tuple[int, float, tuple[str, Spans]]] = []
 
@@ -190,10 +255,9 @@ def parse_chart(lcfrs: Lcfrs, tokens: list[str]):
                 ),
             )
 
-    rules_by_child: dict[str, list[LcfrsRule]] = {}
-    for rule in rules:
-        for child_nt in set(rule.rhs):
-            rules_by_child.setdefault(child_nt, []).append(rule)
+    plans, signatures = _sibling_plans(rules)
+    # (nonterminal, signature, boundary values) -> final spans, in pop order.
+    index: dict[tuple, list[Spans]] = {}
 
     while agenda:
         key = heapq.heappop(agenda)[2]
@@ -201,36 +265,42 @@ def parse_chart(lcfrs: Lcfrs, tokens: list[str]):
             continue
         popped.add(key)
         nt, spans = key
-        final.setdefault(nt, []).append(spans)
-        for rule in rules_by_child.get(nt, []):
-            for slot in [i for i, r in enumerate(rule.rhs) if r == nt]:
-                per_slot = [
-                    [spans] if j == slot else final.get(child_nt, [])
-                    for j, child_nt in enumerate(rule.rhs)
+        for signature in signatures.get(nt, ()):
+            values = tuple(spans[comp][side] for comp, side in signature)
+            index.setdefault((nt, signature, values), []).append(spans)
+        for rule, slot, lookups in plans.get(nt, ()):
+            combos = [[spans if j == slot else None for j in range(len(rule.rhs))]]
+            for sib, signature, sources in lookups:
+                combos = [
+                    combo[:sib] + [sib_spans] + combo[sib + 1 :]
+                    for combo in combos
+                    for sib_spans in index.get((rule.rhs[sib], signature, tuple(
+                        combo[c][comp][side] + off for c, comp, side, off in sources
+                    )), ())
                 ]
-                for combo in product(*per_slot):
-                    inst = _instantiate(rule, combo, tokens)
-                    if inst is None:
-                        continue
-                    lhs_spans, positions = inst
-                    entries = [chart[(rule.rhs[j], combo[j])] for j in range(len(combo))]
-                    logw = math.log(rule.weight) + sum(e.logw for e in entries)
-                    tagseq = rule.tags + tuple(
-                        tag for e in entries for tag in e.tagseq
-                    )
-                    offer(
-                        rule.lhs,
-                        lhs_spans,
-                        _Entry(
-                            logw=logw,
-                            tagseq=tagseq,
-                            rule=rule,
-                            children=tuple(
-                                (rule.rhs[j], combo[j]) for j in range(len(combo))
-                            ),
-                            terminal_positions=positions,
+            for combo in map(tuple, combos):
+                inst = _instantiate(rule, combo, tokens)
+                if inst is None:
+                    continue
+                lhs_spans, positions = inst
+                entries = [chart[(rule.rhs[j], combo[j])] for j in range(len(combo))]
+                logw = math.log(rule.weight) + sum(e.logw for e in entries)
+                tagseq = rule.tags + tuple(
+                    tag for e in entries for tag in e.tagseq
+                )
+                offer(
+                    rule.lhs,
+                    lhs_spans,
+                    _Entry(
+                        logw=logw,
+                        tagseq=tagseq,
+                        rule=rule,
+                        children=tuple(
+                            (rule.rhs[j], combo[j]) for j in range(len(combo))
                         ),
-                    )
+                        terminal_positions=positions,
+                    ),
+                )
     return chart
 
 

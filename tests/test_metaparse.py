@@ -213,6 +213,24 @@ def cyclic_unit_grammar(probs):
     return Grammar(frozenset({"S", "A"}), frozenset({"a"}), "S", rules, probs)
 
 
+def chained_grammar(probs):
+    """S -> A B C | a, A -> a | S, B -> b | S, C -> c.  With C popped, A
+    touches only B, so A is found through B's boundary, not C's."""
+    S, A, B, C = nt("S"), nt("A"), nt("B"), nt("C")
+    a, b, c = t("a"), t("b"), t("c")
+    rules = (
+        ProductionRule("SABC", (S,), (A, B, C)),
+        ProductionRule("Sa", (S,), (a,)),
+        ProductionRule("Aa", (A,), (a,)),
+        ProductionRule("AS", (A,), (S,)),
+        ProductionRule("Bb", (B,), (b,)),
+        ProductionRule("BS", (B,), (S,)),
+        ProductionRule("Cc", (C,), (c,)),
+    )
+    return Grammar(frozenset({"S", "A", "B", "C"}), frozenset({"a", "b", "c"}),
+                   "S", rules, probs)
+
+
 def test_map_parse_matches_brute_force_enumeration():
     g = triangle_grammar()
     cases = [(g, s) for s in short_samples(g, 8)]
@@ -232,6 +250,18 @@ def test_map_parse_matches_brute_force_enumeration():
     )
     for probs in unit_weights:
         cases += [(cyclic_unit_grammar(probs), s) for s in (("a",), ("a", "a"))]
+    # A 3-child rule, where one sibling is anchored only through another.
+    chained_weights = (
+        {"SABC": 0.5, "Sa": 0.5, "Aa": 0.5, "AS": 0.5, "Bb": 0.5, "BS": 0.5,
+         "Cc": 1.0},
+        # A -> a ties A -> S -> a (1/3 == 2/3 * 1/2): "aabcc" has four tied
+        # derivations.
+        {"SABC": 0.5, "Sa": 0.5, "Aa": 1 / 3, "AS": 2 / 3, "Bb": 0.5, "BS": 0.5,
+         "Cc": 1.0},
+    )
+    for probs in chained_weights:
+        cases += [(chained_grammar(probs), tuple(s))
+                  for s in ("abc", "aac", "aabcc", "aaacc")]
     for grammar, s in cases:
         tree = parse(s, grammar)
         derivations = enumerate_derivations(lcfrs_for(grammar), list(s))
@@ -270,8 +300,9 @@ def test_chart_growth_polynomial():
     assert big <= 64 * small
 
 
-# Sweep strings of 21-24 tokens under the reference grammar: chart size, MAP
-# rule sequence and log-probability, frozen from the parser's output.
+# Sweep strings of 21-24 tokens and the 27-token desk-scale string under the
+# reference grammar (21-27 tokens): chart size, MAP rule sequence and
+# log-probability, frozen from the parser's output.
 LONG_GOLDENS = (
     ("ddddddddbbbcbcbcbbbcc", 434,
      ["V", "IV", "VII", "VII", "VII", "IV", "VII", "VII"], -14.334075753824438),
@@ -280,6 +311,9 @@ LONG_GOLDENS = (
     ("ddddddddddbbbbbbbccccccc", 524,
      ["I", "I", "I", "VIII", "VII", "VII", "VII", "VII", "VII", "VII"],
      -17.91759469228055),
+    ("dddddddddddbcbcbcbbbbbbcbbc", 863,
+     ["VIII", "VII", "VII", "IV", "IV", "IV", "IV", "IV", "VII", "IV", "VII"],
+     -19.709354161508603),
 )
 
 
