@@ -1,8 +1,8 @@
 """From-scratch graph transformer for coalition-value inference.
 
 Architecture: stacked graph convolutions with symmetric degree normalization,
-multi-head self-attention over node tokens, mean pooling, and a dense head
-producing the per-player parameter vector.  Coalition values come from a
+multi-head self-attention over node tokens, mean pooling, and a signed dense
+head producing the per-player parameter vector.  Coalition values come from a
 fixed-coupling head; training minimizes mean squared error over all 2**N
 coalitions with exact, hand-derived gradients (no autodiff).
 
@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
 from .game import CharacteristicFunction, coalition_matrix
 from .metaparse import FeatureGraph
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class GtnnError(Exception):
@@ -39,8 +40,11 @@ class ModelConfig:
     n_attention_heads: int = 4
     key_dim: int = 8
     n_players: int = 3
-    head_activation: str = "relu"  # "relu" | "identity"
     seed: int = 0
+    # Read-only: the head is always signed (theta = w_out @ pooled + b_out).
+    # perfbench still reads `config.head_activation`; as a ClassVar it is
+    # neither an init argument nor a field, so saved configs do not carry it.
+    head_activation: ClassVar[str] = "identity"
 
     def __post_init__(self):
         dims = (self.feature_dim, self.hidden_dim, self.n_gcn_layers,
@@ -49,8 +53,6 @@ class ModelConfig:
             raise GtnnError("all model dimensions must be positive")
         if self.hidden_dim % self.n_attention_heads != 0:
             raise GtnnError("hidden_dim must be divisible by n_attention_heads")
-        if self.head_activation not in ("relu", "identity"):
-            raise GtnnError(f"unknown head activation {self.head_activation!r}")
 
 
 @dataclass
@@ -66,26 +68,6 @@ class Model:
     coupling: np.ndarray  # fixed N x N matrix, never trained
 
     def trainable(self) -> dict[str, np.ndarray]:
-        out = {f"gcn_{i}": w for i, w in enumerate(self.gcn_weights)}
-        out.update(w_q=self.w_q, w_k=self.w_k, w_v=self.w_v, w_o=self.w_o,
-                   w_out=self.w_out, b_out=self.b_out)
-        return out
-
-
-@dataclass
-class Gradients:
-    """Mirrors the trainable fields of Model; the coupling matrix is frozen
-    and deliberately has no slot here."""
-
-    gcn_weights: list[np.ndarray]
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    w_o: np.ndarray
-    w_out: np.ndarray
-    b_out: np.ndarray
-
-    def as_dict(self) -> dict[str, np.ndarray]:
         out = {f"gcn_{i}": w for i, w in enumerate(self.gcn_weights)}
         out.update(w_q=self.w_q, w_k=self.w_k, w_v=self.w_v, w_o=self.w_o,
                    w_out=self.w_out, b_out=self.b_out)
@@ -122,7 +104,6 @@ def init_model(cfg: ModelConfig) -> Model:
         w_v=_uniform(rng, h, (h, h)),
         w_o=_uniform(rng, h, (h, h)),
         w_out=_uniform(rng, h, (cfg.n_players, h)),
-        # Small positive bias keeps every ReLU head unit alive at init.
         b_out=0.1 * np.ones(cfg.n_players),
         coupling=rng.uniform(-1.0, 1.0, size=(cfg.n_players, cfg.n_players)),
     )
@@ -197,26 +178,14 @@ def attention_forward(model: Model, h: np.ndarray, cache: dict | None = None):
 
 
 def forward(model: Model, graph: FeatureGraph, cache: dict | None = None) -> np.ndarray:
-    """GCN stack -> node self-attention -> mean pooling -> dense head."""
+    """GCN stack -> node self-attention -> mean pooling -> signed dense head."""
     h = gcn_forward(model, graph, cache)
     refined = attention_forward(model, h, cache)
     pooled = refined.mean(axis=0)
-    z = model.w_out @ pooled + model.b_out
-    if model.config.head_activation == "relu":
-        theta = np.maximum(z, 0.0)
-    else:
-        theta = z
+    theta = model.w_out @ pooled + model.b_out
     if cache is not None:
-        cache.update(pooled=pooled, dense_preact=z, theta=theta,
-                     n_nodes=graph.n_nodes)
+        cache.update(pooled=pooled, n_nodes=graph.n_nodes)
     return theta
-
-
-def char_head(theta: np.ndarray, coupling: np.ndarray, mask: int) -> float:
-    """u_hat(S) = theta^T (s + sigmoid(coupling @ s)) for the 0/1 indicator s."""
-    n = theta.shape[0]
-    s = np.array([(mask >> i) & 1 for i in range(n)], dtype=float)
-    return float(theta @ (s + _sigmoid(coupling @ s)))
 
 
 def _sigmoid(x):
@@ -246,13 +215,10 @@ def loss(model: Model, sample: TrainSample, cache: dict | None = None) -> float:
     return float(np.mean(residual**2))
 
 
-def backward(model: Model, sample: TrainSample) -> Gradients:
-    """Exact gradients of the coalition MSE w.r.t. every trainable weight."""
-    grads, _ = backward_with_loss(model, sample)
-    return grads
-
-
-def backward_with_loss(model: Model, sample: TrainSample) -> tuple[Gradients, float]:
+def backward_with_loss(model: Model,
+                       sample: TrainSample) -> tuple[dict[str, np.ndarray], float]:
+    """Exact gradients of the coalition MSE w.r.t. every trainable weight,
+    keyed like `Model.trainable()`, and the loss itself."""
     cache: dict = {}
     value = loss(model, sample, cache)
     cfg = model.config
@@ -261,13 +227,8 @@ def backward_with_loss(model: Model, sample: TrainSample) -> tuple[Gradients, fl
 
     d_pred = 2.0 * cache["residual"] / m.shape[0]
     d_theta = (m + _sigmoid(m @ model.coupling.T)).T @ d_pred
-    if cfg.head_activation == "relu":
-        d_z = d_theta * (cache["dense_preact"] > 0.0)
-    else:
-        d_z = d_theta
-    d_w_out = np.outer(d_z, cache["pooled"])
-    d_b_out = d_z.copy()
-    d_pooled = model.w_out.T @ d_z
+    d_w_out = np.outer(d_theta, cache["pooled"])
+    d_pooled = model.w_out.T @ d_theta
     n_nodes = cache["n_nodes"]
     d_refined = np.tile(d_pooled / n_nodes, (n_nodes, 1))
 
@@ -300,35 +261,10 @@ def backward_with_loss(model: Model, sample: TrainSample) -> tuple[Gradients, fl
         d_gcn[layer] = (a_hat @ h_in).T @ d_z_l
         d_h = a_hat.T @ d_z_l @ model.gcn_weights[layer].T
 
-    grads = Gradients(gcn_weights=d_gcn, w_q=d_w_q, w_k=d_w_k, w_v=d_w_v,
-                      w_o=d_w_o, w_out=d_w_out, b_out=d_b_out)
+    grads = {f"gcn_{i}": g for i, g in enumerate(d_gcn)}
+    grads.update(w_q=d_w_q, w_k=d_w_k, w_v=d_w_v, w_o=d_w_o,
+                 w_out=d_w_out, b_out=d_theta)
     return grads, value
-
-
-def gradient_check(model: Model, sample: TrainSample, step: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Relative error per component is |fd - g| / max(|fd| + |g|, 1e-6); the
-    floor keeps float cancellation noise on near-zero components from
-    registering as disagreement.
-    """
-    analytic = backward(model, sample).as_dict()
-    params = model.trainable()
-    worst = 0.0
-    for name, w in params.items():
-        flat = w.reshape(-1)
-        gflat = analytic[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = loss(model, sample)
-            flat[i] = orig - step
-            down = loss(model, sample)
-            flat[i] = orig
-            fd = (up - down) / (2.0 * step)
-            rel = abs(fd - gflat[i]) / max(abs(fd) + abs(gflat[i]), 1e-6)
-            worst = max(worst, rel)
-    return worst
 
 
 @dataclass(frozen=True)
@@ -368,9 +304,8 @@ def train(samples: list[TrainSample], cfg: TrainConfig,
             grad_sum: dict[str, np.ndarray] | None = None
             batch_loss = 0.0
             for sample in batch:
-                grads, sample_loss = backward_with_loss(model, sample)
+                g, sample_loss = backward_with_loss(model, sample)
                 batch_loss += sample_loss
-                g = grads.as_dict()
                 if grad_sum is None:
                     grad_sum = g
                 else:

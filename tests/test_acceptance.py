@@ -216,6 +216,7 @@ def test_criterion_7_gradient_check():
     with criterion(7, "analytic gradients match central finite differences "
                       "below 1e-4 over 10 random triples"):
         started = time.perf_counter()
+        from gtnn_oracle import gradient_check
         from test_gtnn import random_sample
 
         worst = 0.0
@@ -225,7 +226,7 @@ def test_criterion_7_gradient_check():
                 n_attention_heads=2, key_dim=3, n_players=3, seed=seed,
             )
             model = gtnn.init_model(cfg)
-            worst = max(worst, gtnn.gradient_check(model, random_sample(seed, cfg)))
+            worst = max(worst, gradient_check(model, random_sample(seed, cfg)))
         assert worst < 1e-4
         assert time.perf_counter() - started < 60.0
 
@@ -240,9 +241,7 @@ def test_criterion_8_learning_sanity():
         # parameter vector under the signed head.
         from test_gtnn import head_reachable_sample
 
-        overfit_cfg = gtnn.ModelConfig(
-            n_players=3, head_activation="identity", seed=3
-        )
+        overfit_cfg = gtnn.ModelConfig(n_players=3, seed=3)
         probe = gtnn.init_model(overfit_cfg)
         sample = head_reachable_sample(21, probe, cfg=overfit_cfg)
         _, history = gtnn.train(

@@ -1,22 +1,22 @@
+import json
+
 import numpy as np
 import pytest
 
 from groupintent.game import CharacteristicFunction
 from groupintent.grammar import triangle_grammar
 from groupintent.gtnn import (
+    FORMAT_VERSION,
     GtnnError,
     ModelConfig,
     TrainConfig,
     TrainSample,
     TrainingDivergedError,
     attention_forward,
-    backward,
-    char_head,
     coalition_values,
     evaluate,
     forward,
     gcn_forward,
-    gradient_check,
     init_model,
     loss,
     model_from_json,
@@ -24,6 +24,7 @@ from groupintent.gtnn import (
     train,
 )
 from groupintent.metaparse import FeatureGraph, parse, tree_to_graph
+from gtnn_oracle import backward, char_head, gradient_check
 
 
 SMALL = ModelConfig(feature_dim=6, hidden_dim=8, n_gcn_layers=2,
@@ -55,7 +56,7 @@ def head_reachable_sample(seed, model, cfg=SMALL):
 
     The head's empty-coalition value is half the parameter sum, so a target
     with u(empty) = 0 is exactly fittable only when the reference parameters
-    sum to zero, which needs the signed (identity) head.
+    sum to zero, which needs the signed head.
     """
     rng = np.random.default_rng(seed)
     graph = random_graph(rng, n_nodes=6, feature_dim=cfg.feature_dim)
@@ -102,8 +103,10 @@ def test_coupling_frozen_by_training():
 
 
 def test_gradients_have_no_coupling_slot():
-    grads = backward(init_model(SMALL), random_sample(0))
-    assert not hasattr(grads, "coupling")
+    model = init_model(SMALL)
+    grads = backward(model, random_sample(0))
+    assert "coupling" not in grads
+    assert list(grads) == list(model.trainable())
 
 
 # --- gcn --------------------------------------------------------------------
@@ -216,7 +219,7 @@ def test_forward_permutation_invariant():
     assert np.abs(forward(model, permuted) - theta).max() <= 1e-12
 
 
-def test_zero_output_weights_give_relu_bias():
+def test_zero_output_weights_give_bias():
     model = init_model(SMALL)
     model.w_out = np.zeros_like(model.w_out)
     model.b_out = np.array([0.3, -0.2, 0.0])
@@ -224,7 +227,7 @@ def test_zero_output_weights_give_relu_bias():
     for seed in range(3):
         graph = random_graph(np.random.default_rng(seed),
                              feature_dim=SMALL.feature_dim)
-        assert np.allclose(forward(model, graph), [0.3, 0.0, 0.0])
+        assert np.allclose(forward(model, graph), [0.3, -0.2, 0.0])
 
 
 def test_forward_deterministic():
@@ -325,10 +328,9 @@ def test_gradient_check_random_triples():
 
 
 def test_zero_loss_zero_gradients():
-    # Identity-activation head with a target equal to the model's own output.
+    # Signed head with a target equal to the model's own output.
     cfg = ModelConfig(feature_dim=6, hidden_dim=8, n_gcn_layers=1,
-                      n_attention_heads=2, key_dim=3, n_players=3,
-                      head_activation="identity", seed=2)
+                      n_attention_heads=2, key_dim=3, n_players=3, seed=2)
     model = init_model(cfg)
     graph = random_graph(np.random.default_rng(0), feature_dim=6)
     theta = forward(model, graph)
@@ -351,7 +353,7 @@ def test_zero_loss_zero_gradients():
     model.b_out = np.zeros_like(model.b_out)
     zero_target = CharacteristicFunction(3, np.zeros(8))
     grads = backward(model, TrainSample(graph=graph, target=zero_target))
-    for name, g in grads.as_dict().items():
+    for name, g in grads.items():
         assert np.allclose(g, 0.0), name
 
 
@@ -359,7 +361,7 @@ def test_zero_loss_zero_gradients():
 
 
 def test_overfit_single_sample():
-    model_cfg = ModelConfig(n_players=3, head_activation="identity", seed=3)
+    model_cfg = ModelConfig(n_players=3, seed=3)
     probe = init_model(model_cfg)
     sample = head_reachable_sample(21, probe, cfg=model_cfg)
     model, history = train([sample] * 20,
@@ -434,9 +436,17 @@ def test_checkpoint_round_trip():
 
 def test_checkpoint_version_checked():
     model = init_model(SMALL)
-    text = model_to_json(model).replace('"format_version": 1', '"format_version": 99')
-    with pytest.raises(GtnnError):
-        model_from_json(text)
+    current = model_to_json(model)
+    tag = f'"format_version": {FORMAT_VERSION}'
+    assert tag in current
+    future = current.replace(tag, '"format_version": 99')
+    # Version 1 configs carried the removed head_activation option.
+    v1 = json.loads(current)
+    v1["format_version"] = 1
+    v1["config"]["head_activation"] = "relu"
+    for text in (future, json.dumps(v1)):
+        with pytest.raises(GtnnError):
+            model_from_json(text)
 
 
 def test_real_parse_tree_pipeline():

@@ -84,6 +84,11 @@ def test_invalid_config_rejected():
         config_from_dict({"train_per_class": 0})
     with pytest.raises(ConfigError):
         config_from_dict({"allocation_method": "dictator"})
+    # The head is always signed; configs written with the old option fail.
+    with pytest.raises(ConfigError):
+        config_from_dict({"model": {"head_activation": "relu"}})
+    with pytest.raises(ConfigError):
+        load_config(environ={"GROUPINTENT_MODEL__HEAD_ACTIVATION": "relu"})
 
 
 def test_missing_config_file():
