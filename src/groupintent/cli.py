@@ -58,9 +58,14 @@ def _ensure_out(args) -> str:
 
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
-    spec = next(
-        (c for c in cfg.classes if c.class_id == args.class_id), cfg.classes[0]
-    ) if args.class_id else cfg.classes[0]
+    spec = cfg.classes[0]
+    if args.class_id:
+        spec = next((c for c in cfg.classes if c.class_id == args.class_id), None)
+        if spec is None:
+            known = ", ".join(c.class_id for c in cfg.classes)
+            raise ConfigError(
+                f"unknown class id {args.class_id!r}; known ids: {known}"
+            )
     intent = harness.build_intent(spec, cfg.allocation_method)
     result = harness.end_to_end_forward(
         intent, cfg, seed=cfg.master_seed,

@@ -38,15 +38,6 @@ def coalition_members(mask: Coalition, n_players: int) -> tuple[int, ...]:
     return tuple(i for i in range(n_players) if mask >> i & 1)
 
 
-def coalition_of(players, n_players: int) -> Coalition:
-    mask = 0
-    for i in players:
-        if not 0 <= i < n_players:
-            raise ValueError(f"player index {i} out of range for {n_players} players")
-        mask |= 1 << i
-    return mask
-
-
 @dataclass(frozen=True, eq=False)
 class CharacteristicFunction:
     """Dense coalition-value table over all 2**n bitmask coalitions."""

@@ -367,7 +367,6 @@ TRIANGLE_RULE_SPECS: tuple[tuple[str, tuple[Symbol, ...], tuple[Symbol, ...]], .
 
 SRG_RULE_IDS = ("I", "II", "III")
 SCFG_RULE_IDS = ("I", "II", "III", "IV", "V", "VI")
-SCSG_RULE_IDS = tuple(spec[0] for spec in TRIANGLE_RULE_SPECS)
 
 
 def triangle_grammar(probs: dict[str, float] | None = None) -> Grammar:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -131,21 +131,18 @@ def paper_scale(cfg: ExperimentConfig) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+# The config file's scalar keys, in field order.
+_SCALAR_KEYS = tuple(
+    f.name for f in fields(ExperimentConfig)
+    if f.name not in ("classes", "model", "train")
+)
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
+    scalars = {k: getattr(cfg, k) for k in _SCALAR_KEYS}
+    scalars["q_grid"] = list(cfg.q_grid)
     return {
-        "n_players": cfg.n_players,
-        "allocation_method": cfg.allocation_method,
-        "q_grid": list(cfg.q_grid),
-        "train_per_class": cfg.train_per_class,
-        "test_per_class": cfg.test_per_class,
-        "eta": cfg.eta,
-        "master_seed": cfg.master_seed,
-        "speed": cfg.speed,
-        "dt": cfg.dt,
-        "zero_threshold": cfg.zero_threshold,
-        "max_parse_length": cfg.max_parse_length,
-        "max_generation_steps": cfg.max_generation_steps,
-        "generation_retry_cap": cfg.generation_retry_cap,
+        **scalars,
         "model": asdict(cfg.model),
         "train": asdict(cfg.train),
         "classes": [
@@ -194,16 +191,7 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         )
         model = ModelConfig(**obj.get("model", {}))
         train = TrainConfig(**obj.get("train", {}))
-        scalars = {
-            k: obj[k]
-            for k in (
-                "n_players", "allocation_method", "q_grid", "train_per_class",
-                "test_per_class", "eta", "master_seed", "speed", "dt",
-                "zero_threshold", "max_parse_length", "max_generation_steps",
-                "generation_retry_cap",
-            )
-            if k in obj
-        }
+        scalars = {k: obj[k] for k in _SCALAR_KEYS if k in obj}
         if "q_grid" in scalars:
             scalars["q_grid"] = tuple(float(q) for q in scalars["q_grid"])
         cfg = ExperimentConfig(classes=classes, model=model, train=train, **scalars)
@@ -397,24 +385,30 @@ def write_records(path: str, records) -> None:
             fh.write("\n")
 
 
-def read_records(path: str, validate: bool = True) -> list[DatasetRecord]:
+def read_records(path: str) -> list[DatasetRecord]:
+    """Read a JSON-lines dataset; a malformed record, or one whose table is
+    not modular, raises HarnessError naming its line."""
     records = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            record = DatasetRecord.from_dict(json.loads(line))
-            records.append(record)
-    if validate:
-        for record in records:
-            u = CharacteristicFunction(
-                n_players=int(np.log2(len(record.u_scaled))),
-                values=np.array(record.u_scaled),
-            )
+            try:
+                record = DatasetRecord.from_dict(json.loads(line))
+                u = CharacteristicFunction(
+                    n_players=int(np.log2(len(record.u_scaled))),
+                    values=np.array(record.u_scaled),
+                )
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise HarnessError(
+                    f"{path} line {lineno}: malformed record: {exc!r}"
+                ) from exc
             if not game.is_modular(u, tol=1e-6):
                 raise HarnessError(
-                    f"corrupt record (non-modular table) for class {record.class_id}"
+                    f"{path} line {lineno}: corrupt record (non-modular table) "
+                    f"for class {record.class_id}"
                 )
+            records.append(record)
     return records
 
 

@@ -7,8 +7,8 @@ what lets discontinuous constituents (a b ... matched with a later c) carry
 polynomial-time Viterbi parsing.
 
 Grammars whose positive rules are all context-free convert generically; the
-built-in context-sensitive family converts through a hand-built fan-out-2
-table matched structurally against the rule set.
+built-in context-sensitive family (`grammar.TRIANGLE_RULE_SPECS`) converts
+through a hand-built fan-out-2 table, matched by rule id.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .grammar import Grammar
+from .grammar import TRIANGLE_RULE_SPECS, Grammar
 
 # Template items: ("t", terminal) consumes one token, ("v", child, comp)
 # splices in a child component.
@@ -42,10 +42,6 @@ class LcfrsRule:
     templates: tuple[tuple[TItem, ...], ...]
     weight: float
     tags: tuple[str, ...]
-
-    @property
-    def fanout(self) -> int:
-        return len(self.templates)
 
 
 @dataclass(frozen=True)
@@ -367,152 +363,29 @@ def _generic_cfg_lcfrs(g: Grammar) -> Lcfrs:
                  n_families=n_fam)
 
 
-@dataclass(frozen=True)
-class TriangleShape:
-    """Structural roles of the built-in family's rules (ids, or None)."""
-
-    d: str
-    b: str
-    c: str
-    chain_plain: str | None    # S -> d S
-    chain_stop: str | None     # S -> M
-    chain_stop_unit: str | None  # M -> d
-    single: str | None         # S -> d S B
-    single_stop: str | None    # S -> d B
-    pair: str | None           # S -> d S B C
-    pair_stop: str | None      # S -> d B C
-    unit_b: str | None         # B -> b
-    conv_db: str               # d B -> d b
-    conv_bb: str               # b B -> b b
-    conv_bc: str               # b C -> b c
-    conv_cc: str               # c C -> c c
-    swap: str                  # C B -> B C
+# The built-in family, id -> (LHS, RHS), as `grammar.py` writes it down.
+_TRIANGLE_SPECS = {i: (lhs, rhs) for i, lhs, rhs in TRIANGLE_RULE_SPECS}
 
 
-def match_triangle(g: Grammar) -> TriangleShape | None:
-    """Structurally identify the shipped context-sensitive family.
-
-    Anchors on the five context-sensitive rewrite shapes (the CB -> BC swap
-    plus the four boundary conversions); returns None when they are absent,
-    incomplete, or any extra context-sensitive rule exists.
-    """
-    positive = [r for r in g.positive_rules() if not r.is_noise]
-    cs = [r for r in positive if len(r.lhs) > 1]
-    if len(cs) != 5:
-        return None
-    swap = None
-    boundary = []   # x Y -> x z with z != x
-    propagation = []  # x Y -> x x
-    for r in cs:
-        kinds_l = tuple(s.kind for s in r.lhs)
-        kinds_r = tuple(s.kind for s in r.rhs)
-        if kinds_l == ("nonterminal", "nonterminal") and r.rhs == (r.lhs[1], r.lhs[0]):
-            if swap is not None:
-                return None
-            swap = r
-        elif (kinds_l == ("terminal", "nonterminal")
-              and kinds_r == ("terminal", "terminal") and r.rhs[0] == r.lhs[0]):
-            if r.rhs[1].name == r.lhs[0].name:
-                propagation.append(r)
-            else:
-                boundary.append(r)
-        else:
-            return None
-    if swap is None or len(boundary) != 2 or len(propagation) != 2:
-        return None
-    c_nt, b_nt = swap.lhs[0], swap.lhs[1]
-
-    def pick(rules, nonterminal):
-        hits = [r for r in rules if r.lhs[1] == nonterminal]
-        return hits[0] if len(hits) == 1 else None
-
-    conv_db = pick(boundary, b_nt)
-    conv_bc = pick(boundary, c_nt)
-    conv_bb = pick(propagation, b_nt)
-    conv_cc = pick(propagation, c_nt)
-    if None in (conv_db, conv_bc, conv_bb, conv_cc):
-        return None
-    d_t, b_t = conv_db.lhs[0].name, conv_db.rhs[1].name
-    c_t = conv_bc.rhs[1].name
-    if conv_bc.lhs[0].name != b_t:
-        return None
-    if conv_bb.lhs[0].name != b_t or conv_cc.lhs[0].name != c_t:
-        return None
-    if len({d_t, b_t, c_t}) != 3:
-        return None
-
-    start = g.start
-    roles: dict[str, str | None] = {
-        "chain_plain": None, "chain_stop": None, "single": None,
-        "single_stop": None, "pair": None, "pair_stop": None,
-    }
-    stop_nt: str | None = None
-    unit_terminal: dict[str, tuple[str, str]] = {}
-    for r in positive:
-        if len(r.lhs) != 1:
-            continue
-        lhs = r.lhs[0].name
-        names = tuple(s.name for s in r.rhs)
-        kinds = tuple(s.kind for s in r.rhs)
-        if lhs == start:
-            if kinds == ("terminal", "nonterminal") and names == (d_t, start):
-                roles["chain_plain"] = r.id
-            elif kinds == ("nonterminal",) and names[0] != start:
-                roles["chain_stop"] = r.id
-                stop_nt = names[0]
-            elif (kinds == ("terminal", "nonterminal", "nonterminal")
-                  and names == (d_t, start, b_nt.name)):
-                roles["single"] = r.id
-            elif kinds == ("terminal", "nonterminal") and names == (d_t, b_nt.name):
-                roles["single_stop"] = r.id
-            elif (kinds
-                  == ("terminal", "nonterminal", "nonterminal", "nonterminal")
-                  and names == (d_t, start, b_nt.name, c_nt.name)):
-                roles["pair"] = r.id
-            elif (kinds == ("terminal", "nonterminal", "nonterminal")
-                  and names == (d_t, b_nt.name, c_nt.name)):
-                roles["pair_stop"] = r.id
-            else:
-                return None
-        elif kinds == ("terminal",):
-            unit_terminal[lhs] = (r.id, names[0])
-        else:
-            return None
-    chain_stop_unit = None
-    if stop_nt is not None:
-        hit = unit_terminal.get(stop_nt)
-        if hit is None or hit[1] != d_t:
-            return None
-        chain_stop_unit = hit[0]
-    unit_b = None
-    if b_nt.name in unit_terminal and unit_terminal[b_nt.name][1] == b_t:
-        unit_b = unit_terminal[b_nt.name][0]
-    return TriangleShape(
-        d=d_t, b=b_t, c=c_t,
-        chain_plain=roles["chain_plain"],
-        chain_stop=roles["chain_stop"],
-        chain_stop_unit=chain_stop_unit,
-        single=roles["single"],
-        single_stop=roles["single_stop"],
-        pair=roles["pair"],
-        pair_stop=roles["pair_stop"],
-        unit_b=unit_b,
-        conv_db=conv_db.id, conv_bb=conv_bb.id,
-        conv_bc=conv_bc.id, conv_cc=conv_cc.id,
-        swap=swap.id,
+def _is_triangle_family(positive) -> bool:
+    """Whether every rule is the built-in family's rule of the same id, and
+    all five of its context-sensitive rules are among them."""
+    ids = {r.id for r in positive}
+    return all(_TRIANGLE_SPECS.get(r.id) == (r.lhs, r.rhs) for r in positive) and all(
+        i in ids for i, (lhs, _) in _TRIANGLE_SPECS.items() if len(lhs) > 1
     )
 
 
-def _triangle_lcfrs(g: Grammar, shape: TriangleShape) -> Lcfrs:
+def _triangle_lcfrs(g: Grammar) -> Lcfrs:
     """Fan-out-2 conversion table for the built-in family.
 
     TOP covers whole strings; ZONE covers (d-block, letter-zone) fragments as
     two components.  Swap and boundary-conversion rules sit alone in their LHS
     groups, so their normalized probability is 1 and omitting them from rule
-    weights preserves derivation scores.
+    weights preserves derivation scores.  A rule of weight 0 is left out.
     """
-    p = g.probs
-    d, b, c = shape.d, shape.b, shape.c
+    p = lambda rule_id: g.probs.get(rule_id, 0.0)
+    d, b, c = "d", "b", "c"
     T = lambda x: ("t", x)
     V = lambda i, j: ("v", i, j)
     rules: list[LcfrsRule] = []
@@ -525,42 +398,32 @@ def _triangle_lcfrs(g: Grammar, shape: TriangleShape) -> Lcfrs:
                           weight=weight, tags=tuple(tags))
             )
 
-    if shape.chain_plain:
-        add("TOP", ["TOP"], [[T(d), V(0, 0)]],
-            p[shape.chain_plain], [shape.chain_plain])
-    if shape.chain_stop and shape.chain_stop_unit:
-        w = p[shape.chain_stop] * p[shape.chain_stop_unit]
-        tags = [shape.chain_stop, shape.chain_stop_unit]
-        add("TOP", [], [[T(d)]], w, tags)
-        add("TOP", ["ZONE"], [[V(0, 0), T(d), V(0, 1)]], w, tags)
-    if shape.single_stop:
-        w = p[shape.single_stop]
-        add("TOP", [], [[T(d), T(b)]], w, [shape.single_stop])
-        add("TOP", ["ZONE"], [[V(0, 0), T(d), T(b), V(0, 1)]], w, [shape.single_stop])
-    if shape.pair_stop:
-        w = p[shape.pair_stop]
-        add("TOP", [], [[T(d), T(b), T(c)]], w, [shape.pair_stop])
-        add("TOP", ["ZONE"], [[V(0, 0), T(d), T(b), V(0, 1), T(c)]],
-            w, [shape.pair_stop])
-        add("TOP", ["ZONE"], [[V(0, 0), T(d), T(b), T(c), V(0, 1)]],
-            w, [shape.pair_stop])
-        add("TOP", ["ZONE", "ZONE"],
-            [[V(1, 0), V(0, 0), T(d), T(b), V(0, 1), T(c), V(1, 1)]],
-            w, [shape.pair_stop])
-    if shape.single:
-        w = p[shape.single]
-        add("ZONE", [], [[T(d)], [T(b)]], w, [shape.single])
-        add("ZONE", ["ZONE"], [[V(0, 0), T(d)], [T(b), V(0, 1)]], w, [shape.single])
-    if shape.pair:
-        w = p[shape.pair]
-        add("ZONE", [], [[T(d)], [T(b), T(c)]], w, [shape.pair])
-        add("ZONE", ["ZONE"], [[V(0, 0), T(d)], [T(b), V(0, 1), T(c)]],
-            w, [shape.pair])
-        add("ZONE", ["ZONE"], [[V(0, 0), T(d)], [T(b), T(c), V(0, 1)]],
-            w, [shape.pair])
-        add("ZONE", ["ZONE", "ZONE"],
-            [[V(1, 0), V(0, 0), T(d)], [T(b), V(0, 1), T(c), V(1, 1)]],
-            w, [shape.pair])
+    # S -> d S
+    add("TOP", ["TOP"], [[T(d), V(0, 0)]], p("I"), ["I"])
+    # S -> D, D -> d
+    w = p("II") * p("III")
+    add("TOP", [], [[T(d)]], w, ["II", "III"])
+    add("TOP", ["ZONE"], [[V(0, 0), T(d), V(0, 1)]], w, ["II", "III"])
+    # S -> d B
+    add("TOP", [], [[T(d), T(b)]], p("V"), ["V"])
+    add("TOP", ["ZONE"], [[V(0, 0), T(d), T(b), V(0, 1)]], p("V"), ["V"])
+    # S -> d B C
+    w = p("VIII")
+    add("TOP", [], [[T(d), T(b), T(c)]], w, ["VIII"])
+    add("TOP", ["ZONE"], [[V(0, 0), T(d), T(b), V(0, 1), T(c)]], w, ["VIII"])
+    add("TOP", ["ZONE"], [[V(0, 0), T(d), T(b), T(c), V(0, 1)]], w, ["VIII"])
+    add("TOP", ["ZONE", "ZONE"],
+        [[V(1, 0), V(0, 0), T(d), T(b), V(0, 1), T(c), V(1, 1)]], w, ["VIII"])
+    # S -> d S B
+    add("ZONE", [], [[T(d)], [T(b)]], p("IV"), ["IV"])
+    add("ZONE", ["ZONE"], [[V(0, 0), T(d)], [T(b), V(0, 1)]], p("IV"), ["IV"])
+    # S -> d S B C
+    w = p("VII")
+    add("ZONE", [], [[T(d)], [T(b), T(c)]], w, ["VII"])
+    add("ZONE", ["ZONE"], [[V(0, 0), T(d)], [T(b), V(0, 1), T(c)]], w, ["VII"])
+    add("ZONE", ["ZONE"], [[V(0, 0), T(d)], [T(b), T(c), V(0, 1)]], w, ["VII"])
+    add("ZONE", ["ZONE", "ZONE"],
+        [[V(1, 0), V(0, 0), T(d)], [T(b), V(0, 1), T(c), V(1, 1)]], w, ["VII"])
     families, n_fam = _family_map(g)
     return Lcfrs(start="TOP", rules=tuple(rules), family_of_tag=families,
                  n_families=n_fam)
@@ -570,20 +433,20 @@ def grammar_to_lcfrs(g: Grammar) -> Lcfrs:
     """Convert a grammar's positive rules to a parseable LCFRS.
 
     Noise rules are generation-only and are skipped: the parser covers the
-    uncorrupted language.  Context-sensitive rule sets must match the shipped
-    conversion table, otherwise the grammar is rejected.
+    uncorrupted language.  A context-sensitive rule set must be the built-in
+    family's, matched by rule id, LHS and RHS, with all five of its
+    context-sensitive rules; otherwise the grammar is rejected.
     """
     positive = [r for r in g.positive_rules() if not r.is_noise]
     if all(len(r.lhs) == 1 for r in positive):
         return _generic_cfg_lcfrs(g)
-    shape = match_triangle(g)
-    if shape is None:
+    if not _is_triangle_family(positive):
         offending = [r.id for r in positive if len(r.lhs) > 1]
         raise UnsupportedGrammarError(
             "no fan-out-2 conversion table covers context-sensitive rules "
             f"{offending}"
         )
-    return _triangle_lcfrs(g, shape)
+    return _triangle_lcfrs(g)
 
 
 _conversion_cache: dict[tuple, Lcfrs] = {}

@@ -291,32 +291,13 @@ def parse(
 # ---------------------------------------------------------------------------
 
 
-def _clustering_coefficients(n_nodes: int, edges) -> np.ndarray:
-    neighbors: list[set[int]] = [set() for _ in range(n_nodes)]
-    for i, j in edges:
-        neighbors[i].add(j)
-        neighbors[j].add(i)
-    coeffs = np.zeros(n_nodes)
-    for v in range(n_nodes):
-        k = len(neighbors[v])
-        if k < 2:
-            continue
-        links = 0
-        nb = sorted(neighbors[v])
-        for a in range(len(nb)):
-            for b in range(a + 1, len(nb)):
-                if nb[b] in neighbors[nb[a]]:
-                    links += 1
-        coeffs[v] = 2.0 * links / (k * (k - 1))
-    return coeffs
-
-
 def tree_to_graph(tree: ParseTree, feature_dim: int = 16) -> FeatureGraph:
     """Undirected parent-child graph with structural node features.
 
     Feature layout (fixed order): out-degree, in-degree, local clustering
     coefficient, depth, then a one-hot rule-family tag zero-padded to
-    `feature_dim`.
+    `feature_dim`.  A tree has no triangles, so every clustering coefficient
+    is 0: column 2 is kept as a constant 0 to hold the layout fixed.
     """
     n = len(tree.nodes)
     if feature_dim < 5:
@@ -336,13 +317,11 @@ def tree_to_graph(tree: ParseTree, feature_dim: int = 16) -> FeatureGraph:
         for child in tree.children(node_id):
             depth[id_to_idx[child]] = depth[id_to_idx[node_id]] + 1
             order.append(child)
-    clustering = _clustering_coefficients(n, edges)
     slots = feature_dim - 4
     feats = np.zeros((n, feature_dim))
     for k, node in enumerate(tree.nodes):
         feats[k, 0] = out_deg[k]
         feats[k, 1] = in_deg[k]
-        feats[k, 2] = clustering[k]
         feats[k, 3] = depth[k]
         feats[k, 4 + node.family % slots] = 1.0
     return FeatureGraph(node_features=feats, edges=tuple(edges))

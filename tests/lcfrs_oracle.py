@@ -7,13 +7,7 @@ import math
 from itertools import product
 
 from groupintent.grammar import Grammar
-from groupintent.lcfrs import (
-    Lcfrs,
-    LcfrsRule,
-    Spans,
-    UnsupportedGrammarError,
-    match_triangle,
-)
+from groupintent.lcfrs import Lcfrs, LcfrsRule, Spans
 
 
 def enumerate_derivations(lcfrs: Lcfrs, tokens: list[str]):
@@ -105,7 +99,8 @@ def enumerate_derivations(lcfrs: Lcfrs, tokens: list[str]):
 
 def triangle_conversion_tags(tokens, g: Grammar) -> list[str]:
     """Reconstruct the swap/conversion applications a sentential-form
-    derivation of `tokens` uses in the built-in family.
+    derivation of `tokens` uses in the built-in family, written out by its
+    own rule ids and letters.
 
     A b after the d-block converts at the d-boundary, a b after a b by
     b-propagation (falling back to the unit rule when the context rule is
@@ -113,33 +108,31 @@ def triangle_conversion_tags(tokens, g: Grammar) -> list[str]:
     number of crossed (b_j, c_i) pairs with j > i, which is exactly how many
     CB -> BC exchanges the rewriting needs.
     """
-    shape = match_triangle(g)
-    if shape is None:
-        raise UnsupportedGrammarError("not the built-in context-sensitive family")
+    unit_b = "VI" if g.probs.get("VI", 0.0) > 0.0 else None
     tags: list[str] = []
-    prev = shape.d
+    prev = "d"
     b_seen = 0
     b_before_each_c: list[int] = []
     for tok in tokens:
-        if tok == shape.d:
-            prev = shape.d
-        elif tok == shape.b:
+        if tok == "d":
+            prev = "d"
+        elif tok == "b":
             b_seen += 1
-            if prev == shape.d and shape.conv_db:
-                tags.append(shape.conv_db)
-            elif prev == shape.b and shape.conv_bb:
-                tags.append(shape.conv_bb)
-            elif shape.unit_b:
-                tags.append(shape.unit_b)
-            prev = shape.b
-        elif tok == shape.c:
+            if prev == "d":
+                tags.append("IX")
+            elif prev == "b":
+                tags.append("IXb")
+            elif unit_b:
+                tags.append(unit_b)
+            prev = "b"
+        elif tok == "c":
             b_before_each_c.append(b_seen)
-            tags.append(shape.conv_bc if prev == shape.b else shape.conv_cc)
-            prev = shape.c
+            tags.append("X" if prev == "b" else "XII")
+            prev = "c"
         else:
             raise ValueError(f"token {tok!r} is not in the family alphabet")
     n_swaps = sum(
         max(0, n_b - i) for i, n_b in enumerate(b_before_each_c, start=1)
     )
-    tags.extend([shape.swap] * n_swaps)
+    tags.extend(["XI"] * n_swaps)
     return tags

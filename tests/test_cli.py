@@ -121,3 +121,37 @@ def test_seed_flag_changes_dataset(tmp_path, tiny_config_path):
     a = open(os.path.join(out_a, "train_q0.jsonl")).read()
     b = open(os.path.join(out_b, "train_q0.jsonl")).read()
     assert a != b
+
+
+def test_simulate_unknown_class_id_is_config_error(tmp_path, tiny_config_path, capsys):
+    out_dir = str(tmp_path / "sim")
+    rc = main([
+        "simulate", "--config", tiny_config_path, "--out", out_dir,
+        "--class-id", "intent99",
+    ])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "intent99" in err and "intent00" in err
+    assert not os.path.exists(out_dir) or not os.listdir(out_dir)
+
+
+@pytest.mark.parametrize("line", [
+    "not json",
+    json.dumps({"string": ["d"], "scale": 1.0, "class_id": "intent00",
+                "q": 0.0, "seed": 0}),
+    json.dumps({"string": ["d"], "u_scaled": [0.0, 0.5, 1.0], "scale": 1.0,
+                "class_id": "intent00", "q": 0.0, "seed": 0}),
+], ids=["not-json", "missing-field", "table-not-power-of-two"])
+def test_malformed_dataset_line_is_numerical_failure(
+    tmp_path, tiny_config_path, capsys, line
+):
+    good = json.dumps({"string": ["d"], "u_scaled": [0.0, 0.5, 0.5, 1.0],
+                       "scale": 1.0, "class_id": "intent00", "q": 0.0, "seed": 0})
+    data = tmp_path / "bad.jsonl"
+    data.write_text(good + "\n" + line + "\n")
+    rc = main([
+        "train", "--config", tiny_config_path, "--data", str(data),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert rc == EXIT_NUMERICAL
+    assert "line 2" in capsys.readouterr().err

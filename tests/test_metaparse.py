@@ -9,6 +9,8 @@ from groupintent.grammar import (
     Grammar,
     ProductionRule,
     generate,
+    grammar_from_json,
+    grammar_to_json,
     nt,
     restricted,
     t,
@@ -20,7 +22,12 @@ from groupintent.kinematics import (
     TrackEstimate,
     direction_vector,
 )
-from groupintent.lcfrs import ParseError, UnsupportedGrammarError, lcfrs_for
+from groupintent.lcfrs import (
+    ParseError,
+    UnsupportedGrammarError,
+    grammar_to_lcfrs,
+    lcfrs_for,
+)
 from groupintent.metaparse import (
     FeatureGraph,
     ParseTree,
@@ -177,6 +184,32 @@ def test_conversion_table_required_for_context_sensitive_rules():
     ids = [r.id for r in g.rules if r.id != "XI"]
     with pytest.raises(UnsupportedGrammarError):
         lcfrs_for(restricted(g, ids))
+    # A copy of the family under other rule ids, or over other letters, is
+    # not the built-in family: the table is keyed on its ids and letters.
+    renamed_ids = Grammar(
+        g.nonterminals, g.terminals, g.start,
+        tuple(ProductionRule("r" + r.id, r.lhs, r.rhs) for r in g.rules),
+        {"r" + k: v for k, v in g.probs.items()},
+    )
+    letters = {"d": "x", "b": "y", "c": "z"}
+
+    def rename(symbols):
+        return tuple(t(letters[s.name]) if s.kind == "terminal" else s for s in symbols)
+
+    renamed_letters = Grammar(
+        g.nonterminals, frozenset(letters.values()), g.start,
+        tuple(ProductionRule(r.id, rename(r.lhs), rename(r.rhs)) for r in g.rules),
+        g.probs,
+    )
+    for copy in (renamed_ids, renamed_letters):
+        with pytest.raises(UnsupportedGrammarError):
+            grammar_to_lcfrs(copy)
+    # A grammar file written by this package keeps ids and names, so its
+    # round trip converts to the same table.
+    ref = reference_grammar()
+    assert grammar_to_lcfrs(grammar_from_json(grammar_to_json(ref))) == (
+        grammar_to_lcfrs(ref)
+    )
 
 
 def test_round_trip_all_classes():
