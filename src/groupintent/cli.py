@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import game, grammar as grammar_mod, gtnn, harness, kinematics, metaparse
+from . import game, gtnn, harness, kinematics, metaparse
 from .grammar import GrammarError
 from .gtnn import GtnnError
 from .harness import ConfigError, HarnessError
@@ -116,11 +116,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    if args.grammar == "builtin:triangle" or args.grammar is None:
-        g = grammar_mod.triangle_grammar()
-    else:
-        with open(args.grammar) as fh:
-            g = grammar_mod.grammar_from_json(fh.read())
+    g = harness.load_grammar(args.grammar or "builtin:triangle")
     tokens = args.string.split()
     tree = metaparse.parse(tokens, g)
     print(tree.to_json())

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -110,10 +111,14 @@ class SensorSpec:
         return self.measurements * (hw.T @ hw)
 
 
+@lru_cache(maxsize=None)
 def coalition_matrix(n_players: int) -> np.ndarray:
-    """(2**n, n) 0/1 matrix: row `mask`, column `i` is bit i of mask."""
+    """(2**n, n) 0/1 matrix: row `mask`, column `i` is bit i of mask.  Built
+    once per player count and shared, so it is read-only."""
     masks = np.arange(2**n_players)
-    return ((masks[:, None] >> np.arange(n_players)[None, :]) & 1).astype(float)
+    m = ((masks[:, None] >> np.arange(n_players)[None, :]) & 1).astype(float)
+    m.flags.writeable = False
+    return m
 
 
 def fisher_charfn(sensors: list[SensorSpec]) -> CharacteristicFunction:

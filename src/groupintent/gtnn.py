@@ -3,8 +3,11 @@
 Architecture: stacked graph convolutions with symmetric degree normalization,
 multi-head self-attention over node tokens, mean pooling, and a signed dense
 head producing the per-player parameter vector.  Coalition values come from a
-fixed-coupling head; training minimizes mean squared error over all 2**N
-coalitions with exact, hand-derived gradients (no autodiff).
+head whose coupling L is drawn at init and frozen; training minimizes mean
+squared error over all 2**N coalitions with exact, hand-derived gradients (no
+autodiff).  Training folds the samples of a minibatch that share a graph into
+one backward pass at their mean target, which is exact for this loss, and
+each graph's normalized adjacency is built once.
 
 Forward/backward on one model must not run concurrently with parameter
 updates; read-only evaluation may fan out across workers.
@@ -112,10 +115,8 @@ def init_model(cfg: ModelConfig) -> Model:
 
 def normalized_adjacency(graph: FeatureGraph) -> np.ndarray:
     """Symmetric degree normalization with self connections:
-    c_ij = sqrt(deg_i + 1) * sqrt(deg_j + 1)."""
-    a = graph.adjacency() + np.eye(graph.n_nodes)
-    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
-    return a * inv_sqrt[:, None] * inv_sqrt[None, :]
+    c_ij = sqrt(deg_i + 1) * sqrt(deg_j + 1).  Built once per graph, read-only."""
+    return graph.normalized_adjacency
 
 
 def gcn_forward(model: Model, graph: FeatureGraph, cache: dict | None = None):
@@ -127,16 +128,17 @@ def gcn_forward(model: Model, graph: FeatureGraph, cache: dict | None = None):
         )
     a_hat = normalized_adjacency(graph)
     h = graph.node_features
-    hs = [h]
+    propagated = []
     zs = []
     for w in model.gcn_weights:
-        z = a_hat @ h @ w
+        ah = a_hat @ h
+        z = ah @ w
         h = np.maximum(z, 0.0)
+        propagated.append(ah)
         zs.append(z)
-        hs.append(h)
     if cache is not None:
         cache["a_hat"] = a_hat
-        cache["gcn_inputs"] = hs[:-1]
+        cache["gcn_propagated"] = propagated
         cache["gcn_preacts"] = zs
     return h
 
@@ -192,26 +194,34 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _design(coupling: np.ndarray) -> np.ndarray:
+    """D = m + sigmoid(m C^T) for the coalition matrix m, so u_hat = D theta."""
+    m = coalition_matrix(coupling.shape[0])
+    return m + _sigmoid(m @ coupling.T)
+
+
 def coalition_values(theta: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     """u_hat over all coalitions at once; rows follow bitmask order."""
-    n = theta.shape[0]
-    m = coalition_matrix(n)
-    return (m + _sigmoid(m @ coupling.T)) @ theta
+    return _design(coupling) @ theta
 
 
-def loss(model: Model, sample: TrainSample, cache: dict | None = None) -> float:
-    """Mean squared error between predicted and target values over all
-    2**N coalitions."""
+def _check_target(model: Model, sample: TrainSample) -> None:
     n = model.config.n_players
     if n > 12:
         raise GtnnError("coalition enumeration limited to 12 players")
     if sample.target.n_players != n:
         raise GtnnError("target player count does not match the model")
+
+
+def loss(model: Model, sample: TrainSample, cache: dict | None = None) -> float:
+    """Mean squared error between predicted and target values over all
+    2**N coalitions."""
+    _check_target(model, sample)
     theta = forward(model, sample.graph, cache)
-    predicted = coalition_values(theta, model.coupling)
-    residual = predicted - sample.target.values
+    design = _design(model.coupling)
+    residual = design @ theta - sample.target.values
     if cache is not None:
-        cache.update(residual=residual)
+        cache.update(residual=residual, design=design)
     return float(np.mean(residual**2))
 
 
@@ -222,19 +232,18 @@ def backward_with_loss(model: Model,
     cache: dict = {}
     value = loss(model, sample, cache)
     cfg = model.config
-    n = cfg.n_players
-    m = coalition_matrix(n)
+    design = cache["design"]
 
-    d_pred = 2.0 * cache["residual"] / m.shape[0]
-    d_theta = (m + _sigmoid(m @ model.coupling.T)).T @ d_pred
+    d_pred = 2.0 * cache["residual"] / design.shape[0]
+    d_theta = design.T @ d_pred
     d_w_out = np.outer(d_theta, cache["pooled"])
-    d_pooled = model.w_out.T @ d_theta
-    n_nodes = cache["n_nodes"]
-    d_refined = np.tile(d_pooled / n_nodes, (n_nodes, 1))
+    # Mean pooling hands every node token the same gradient row.
+    d_row = (model.w_out.T @ d_theta) / cache["n_nodes"]
 
     # Attention backward.
-    d_w_o = cache["attn_concat"].T @ d_refined
-    d_concat = d_refined @ model.w_o.T
+    concat = cache["attn_concat"]
+    d_w_o = np.outer(concat.sum(axis=0), d_row)
+    d_concat = np.broadcast_to(d_row @ model.w_o.T, concat.shape)
     d_heads = _split_heads(d_concat, cfg.n_attention_heads)
     attn, q, k, v = (cache["attn_weights"], cache["attn_q"], cache["attn_k"],
                      cache["attn_v"])
@@ -244,22 +253,19 @@ def backward_with_loss(model: Model,
     d_scores /= np.sqrt(cfg.key_dim)
     d_q = d_scores @ k
     d_k = d_scores.transpose(0, 2, 1) @ q
+    d_q, d_k, d_v = _merge_heads(d_q), _merge_heads(d_k), _merge_heads(d_v)
     h_l = cache["attn_h"]
-    d_w_q = h_l.T @ _merge_heads(d_q)
-    d_w_k = h_l.T @ _merge_heads(d_k)
-    d_w_v = h_l.T @ _merge_heads(d_v)
-    d_h = (_merge_heads(d_q) @ model.w_q.T
-           + _merge_heads(d_k) @ model.w_k.T
-           + _merge_heads(d_v) @ model.w_v.T)
+    d_w_q, d_w_k, d_w_v = h_l.T @ d_q, h_l.T @ d_k, h_l.T @ d_v
+    d_h = d_q @ model.w_q.T + d_k @ model.w_k.T + d_v @ model.w_v.T
 
-    # GCN backward.
+    # GCN backward; the input features need no gradient.
     a_hat = cache["a_hat"]
-    d_gcn = [np.zeros_like(w) for w in model.gcn_weights]
+    d_gcn = [None] * len(model.gcn_weights)
     for layer in reversed(range(len(model.gcn_weights))):
-        d_z_l = d_h * (cache["gcn_preacts"][layer] > 0.0)
-        h_in = cache["gcn_inputs"][layer]
-        d_gcn[layer] = (a_hat @ h_in).T @ d_z_l
-        d_h = a_hat.T @ d_z_l @ model.gcn_weights[layer].T
+        d_z = d_h * (cache["gcn_preacts"][layer] > 0.0)
+        d_gcn[layer] = cache["gcn_propagated"][layer].T @ d_z
+        if layer:
+            d_h = a_hat.T @ d_z @ model.gcn_weights[layer].T
 
     grads = {f"gcn_{i}": g for i, g in enumerate(d_gcn)}
     grads.update(w_q=d_w_q, w_k=d_w_k, w_v=d_w_v, w_o=d_w_o,
@@ -279,15 +285,42 @@ class TrainConfig:
     shuffle: bool = True
 
 
+def _fold(samples: list[TrainSample], targets: np.ndarray,
+          members: list[int]) -> tuple[TrainSample, float]:
+    """One sample standing in for `members`, which share a graph: that graph
+    at their mean target t_bar, and sum_i mean((t_i - t_bar)**2), the loss
+    their spread about t_bar adds to len(members) * loss(t_bar)."""
+    first = samples[members[0]]
+    if len(members) == 1:
+        return first, 0.0
+    rows = targets[members]
+    mean = rows.mean(axis=0)
+    spread = float(((rows - mean) ** 2).mean(axis=1).sum())
+    target = CharacteristicFunction(first.target.n_players, mean)
+    return TrainSample(graph=first.graph, target=target), spread
+
+
 def train(samples: list[TrainSample], cfg: TrainConfig,
           model: Model | None = None,
           model_cfg: ModelConfig | None = None) -> tuple[Model, list[float]]:
     """Mini-batch adaptive-moment training; returns the model and per-epoch
-    mean loss history.  Deterministic under fixed seeds."""
+    mean loss history.  Deterministic under fixed seeds.
+
+    The k members of a minibatch that share a graph make one backward pass at
+    their mean target, scaled by k.  The MSE gradient is linear in the
+    residual, so this is exact, and so is the batch loss (see `_fold`).
+    """
     if not samples:
         raise GtnnError("training needs a nonempty dataset")
     if model is None:
         model = init_model(model_cfg or ModelConfig())
+    for sample in samples:
+        _check_target(model, sample)
+    # GraphCache hands out one FeatureGraph per string; group_of[i] is the
+    # index of the first sample holding sample i's graph.
+    first: dict[int, int] = {}
+    group_of = [first.setdefault(id(s.graph), i) for i, s in enumerate(samples)]
+    targets = np.stack([s.target.values for s in samples])
     rng = np.random.default_rng(cfg.seed)
     params = model.trainable()
     moment1 = {k: np.zeros_like(v) for k, v in params.items()}
@@ -300,17 +333,22 @@ def train(samples: list[TrainSample], cfg: TrainConfig,
             rng.shuffle(order)
         epoch_losses = []
         for lo in range(0, len(order), cfg.batch_size):
-            batch = [samples[i] for i in order[lo : lo + cfg.batch_size]]
+            batch = order[lo : lo + cfg.batch_size].tolist()
+            groups: dict[int, list[int]] = {}
+            for i in batch:
+                groups.setdefault(group_of[i], []).append(i)
             grad_sum: dict[str, np.ndarray] | None = None
             batch_loss = 0.0
-            for sample in batch:
-                g, sample_loss = backward_with_loss(model, sample)
-                batch_loss += sample_loss
+            for members in groups.values():
+                folded, spread = _fold(samples, targets, members)
+                g, folded_loss = backward_with_loss(model, folded)
+                k = len(members)
+                batch_loss += k * folded_loss + spread
                 if grad_sum is None:
-                    grad_sum = g
+                    grad_sum = {key: k * v for key, v in g.items()}
                 else:
                     for key in grad_sum:
-                        grad_sum[key] = grad_sum[key] + g[key]
+                        grad_sum[key] += k * g[key]
             batch_loss /= len(batch)
             epoch_losses.append(batch_loss)
             if not np.isfinite(batch_loss):
@@ -332,6 +370,20 @@ def train(samples: list[TrainSample], cfg: TrainConfig,
     return model, history
 
 
+def _sample_losses(model: Model, samples: list[TrainSample]) -> list[float]:
+    """`loss` of every sample, with one forward pass per distinct graph."""
+    predicted: dict[int, np.ndarray] = {}
+    out = []
+    for sample in samples:
+        _check_target(model, sample)
+        key = id(sample.graph)
+        if key not in predicted:
+            predicted[key] = coalition_values(forward(model, sample.graph),
+                                              model.coupling)
+        out.append(float(np.mean((predicted[key] - sample.target.values) ** 2)))
+    return out
+
+
 def evaluate(model: Model, test: list[TrainSample], eta: float) -> float:
     """Success rate: the fraction of test cases whose coalition MSE falls at
     or below the threshold."""
@@ -339,12 +391,12 @@ def evaluate(model: Model, test: list[TrainSample], eta: float) -> float:
         raise GtnnError("evaluation needs a nonempty test set")
     if eta <= 0:
         raise GtnnError("threshold must be positive")
-    hits = sum(1 for sample in test if loss(model, sample) <= eta)
+    hits = sum(1 for value in _sample_losses(model, test) if value <= eta)
     return hits / len(test)
 
 
 def mean_loss(model: Model, samples: list[TrainSample]) -> float:
-    return float(np.mean([loss(model, s) for s in samples]))
+    return float(np.mean(_sample_losses(model, samples)))
 
 
 # ---------------------------------------------------------------------------

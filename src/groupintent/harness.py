@@ -263,8 +263,9 @@ def load_grammar(ref: str) -> Grammar:
     try:
         with open(ref) as fh:
             return grammar_mod.grammar_from_json(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot load grammar {ref!r}: {exc}") from exc
+    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"cannot load grammar {ref!r}: {reason}") from exc
 
 
 def build_intent(spec: IntentClassSpec, allocation_method: str = "nucleolus") -> IntentModel:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -119,11 +120,19 @@ class FeatureGraph:
     def feature_dim(self) -> int:
         return self.node_features.shape[1]
 
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n_nodes, self.n_nodes))
-        for i, j in self.edges:
+    @cached_property
+    def normalized_adjacency(self) -> np.ndarray:
+        """The GCN's propagation matrix D^-1/2 (A + I) D^-1/2, where D is the
+        degree matrix of A + I.  The graph is immutable, so the matrix is
+        built on first use, kept, and handed out read-only."""
+        a = np.eye(self.n_nodes)
+        if self.edges:
+            i, j = np.array(self.edges).T
             a[i, j] = a[j, i] = 1.0
-        return a
+        inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+        a_hat = a * inv_sqrt[:, None] * inv_sqrt[None, :]
+        a_hat.flags.writeable = False
+        return a_hat
 
 
 # ---------------------------------------------------------------------------

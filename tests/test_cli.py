@@ -50,6 +50,18 @@ def test_parse_failure_exit_code(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("not json {", "Expecting value"),
+    (json.dumps({"nonterminals": ["S"]}), "missing key 'terminals'"),
+], ids=["not-json", "missing-key"])
+def test_malformed_grammar_file_is_config_error(tmp_path, capsys, text, reason):
+    path = tmp_path / "grammar.json"
+    path.write_text(text)
+    assert main(["parse", "--grammar", str(path), "--string", "d"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(path) in err and reason in err
+
+
 def test_missing_config_is_config_error(tmp_path, capsys):
     rc = main(["gen-data", "--config", "/nope/missing.json", "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from groupintent.game import CharacteristicFunction
+from groupintent import gtnn
+from groupintent.game import CharacteristicFunction, coalition_matrix
 from groupintent.grammar import triangle_grammar
 from groupintent.gtnn import (
     FORMAT_VERSION,
@@ -19,12 +20,14 @@ from groupintent.gtnn import (
     gcn_forward,
     init_model,
     loss,
+    mean_loss,
     model_from_json,
     model_to_json,
+    normalized_adjacency,
     train,
 )
 from groupintent.metaparse import FeatureGraph, parse, tree_to_graph
-from gtnn_oracle import backward, char_head, gradient_check
+from gtnn_oracle import backward, char_head, gradient_check, train_per_sample
 
 
 SMALL = ModelConfig(feature_dim=6, hidden_dim=8, n_gcn_layers=2,
@@ -145,6 +148,18 @@ def test_path_graph_normalization_hand_computed():
         2.0 / np.sqrt(6) + 3.0 / 2,
     ])
     assert np.allclose(h.ravel(), expected)
+
+
+def test_shared_tensors_are_cached_and_read_only():
+    m = coalition_matrix(3)
+    assert m is coalition_matrix(3)
+    graph = random_graph(np.random.default_rng(0))
+    a_hat = normalized_adjacency(graph)
+    assert a_hat is normalized_adjacency(graph)
+    for array in (m, a_hat):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 5.0
 
 
 def test_feature_dim_mismatch_rejected():
@@ -377,6 +392,68 @@ def test_zero_learning_rate_constant_history():
     _, history = train(samples, TrainConfig(epochs=5, learning_rate=0.0, seed=0),
                        model_cfg=SMALL)
     assert np.ptp(history) == pytest.approx(0.0)
+
+
+def repeated_graph_samples(n_graphs=4, repeats=(5, 3, 4, 1), seed=11):
+    """Samples over a few shared graphs, each graph repeated with different
+    targets, as a sweep's training set is."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    for _, count in zip(range(n_graphs), repeats):
+        graph = random_graph(rng, n_nodes=int(rng.integers(3, 7)),
+                             feature_dim=SMALL.feature_dim)
+        for _ in range(count):
+            table = np.abs(rng.normal(size=2**SMALL.n_players))
+            table[0] = 0.0
+            target = CharacteristicFunction(SMALL.n_players, table)
+            samples.append(TrainSample(graph=graph, target=target))
+    rng.shuffle(samples)
+    return samples
+
+
+@pytest.mark.parametrize("learning_rate, tol", [(1e-2, 1e-9), (0.0, 1e-12)])
+def test_folded_training_matches_per_sample_oracle(learning_rate, tol):
+    samples = repeated_graph_samples()
+    assert len(samples) % 4 != 0
+    cfg = TrainConfig(epochs=15, batch_size=4, learning_rate=learning_rate, seed=3)
+    folded, hist = train(samples, cfg, model_cfg=SMALL)
+    oracle, hist_ref = train_per_sample(samples, cfg, model_cfg=SMALL)
+    assert len(hist) == len(hist_ref) == cfg.epochs
+    np.testing.assert_allclose(hist, hist_ref, rtol=tol, atol=0.0)
+    for name, w in oracle.trainable().items():
+        np.testing.assert_allclose(folded.trainable()[name], w, rtol=0.0, atol=1e-9)
+
+
+def test_training_folds_each_minibatch_by_graph(monkeypatch):
+    calls = []
+    real = gtnn.backward_with_loss
+
+    def counting(model, sample):
+        calls.append(sample)
+        return real(model, sample)
+
+    monkeypatch.setattr(gtnn, "backward_with_loss", counting)
+    cfg = TrainConfig(epochs=3, batch_size=8, seed=0)
+    train([random_sample(0)] * 20, cfg, model_cfg=SMALL)
+    assert len(calls) == cfg.epochs * 3  # minibatches of 8, 8 and 4
+
+
+def test_evaluation_runs_one_forward_per_distinct_graph(monkeypatch):
+    model = init_model(SMALL)
+    samples = repeated_graph_samples()
+    per_sample = [loss(model, s) for s in samples]
+    eta = float(np.median(per_sample))
+    calls = []
+    real = gtnn.forward
+
+    def counting(model, graph, cache=None):
+        calls.append(graph)
+        return real(model, graph, cache)
+
+    monkeypatch.setattr(gtnn, "forward", counting)
+    assert evaluate(model, samples, eta) == np.mean([x <= eta for x in per_sample])
+    assert mean_loss(model, samples) == float(np.mean(per_sample))
+    assert len(calls) == 2 * 4
 
 
 def test_full_batch_order_invariance():
