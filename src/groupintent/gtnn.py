@@ -5,9 +5,12 @@ multi-head self-attention over node tokens, mean pooling, and a signed dense
 head producing the per-player parameter vector.  Coalition values come from a
 head whose coupling L is drawn at init and frozen; training minimizes mean
 squared error over all 2**N coalitions with exact, hand-derived gradients (no
-autodiff).  Training folds the samples of a minibatch that share a graph into
-one backward pass at their mean target, which is exact for this loss, and
-each graph's normalized adjacency is built once.
+autodiff).  Each minibatch is one forward and one backward pass: its samples
+are folded by graph into the distinct graphs, which are zero-padded to the
+largest node count and stacked, with a key mask for attention and a mean pool
+over real nodes only.  Folding and padding are exact for this loss.  Each
+graph's normalized adjacency is built once; one graph's forward pass is the
+unpadded, unmasked case.
 
 Forward/backward on one model must not run concurrently with parameter
 updates; read-only evaluation may fan out across workers.
@@ -16,6 +19,7 @@ updates; read-only evaluation may fan out across workers.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -113,80 +117,133 @@ def init_model(cfg: ModelConfig) -> Model:
     return model
 
 
-def normalized_adjacency(graph: FeatureGraph) -> np.ndarray:
-    """Symmetric degree normalization with self connections:
-    c_ij = sqrt(deg_i + 1) * sqrt(deg_j + 1).  Built once per graph, read-only."""
-    return graph.normalized_adjacency
+@dataclass(frozen=True)
+class GraphStack:
+    """G graphs zero-padded to the largest node count n among them.
+
+    Padded feature rows and padded adjacency rows and columns are zero, so
+    padded nodes stay zero through the GCN.  `mask` marks the real nodes; it
+    is None when no graph is padded.
+    """
+
+    node_features: np.ndarray         # (G, n, feature_dim)
+    normalized_adjacency: np.ndarray  # (G, n, n)
+    n_nodes: np.ndarray               # (G, 1) real node counts
+    mask: np.ndarray | None           # (G, n) True on real nodes
+
+    @property
+    def feature_dim(self) -> int:
+        return self.node_features.shape[-1]
 
 
-def gcn_forward(model: Model, graph: FeatureGraph, cache: dict | None = None):
+def stack_graphs(graphs: Sequence[FeatureGraph]) -> GraphStack:
+    """Pad `graphs` into one stack; a zero-node graph has nothing to attend."""
+    counts = np.array([g.n_nodes for g in graphs])
+    if counts.min() == 0:
+        raise GtnnError("attention needs at least one node")
+    if len({g.feature_dim for g in graphs}) != 1:
+        raise GtnnError("stacked graphs must share one feature dim")
+    n = int(counts.max())
+    feats = np.zeros((len(graphs), n, graphs[0].feature_dim))
+    a_hat = np.zeros((len(graphs), n, n))
+    for row, (graph, m) in enumerate(zip(graphs, counts)):
+        feats[row, :m] = graph.node_features
+        a_hat[row, :m, :m] = graph.normalized_adjacency
+    mask = None if counts.min() == n else np.arange(n) < counts[:, None]
+    return GraphStack(feats, a_hat, counts[:, None], mask)
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """Every token of a (..., n, d) array as one (tokens, d) matrix."""
+    return x.reshape(-1, x.shape[-1])
+
+
+def gcn_forward(model: Model, graph: FeatureGraph | GraphStack,
+                cache: dict | None = None):
     """Stacked h -> ReLU(A_hat h W) updates; returns final node embeddings."""
     if graph.feature_dim != model.config.feature_dim:
         raise GtnnError(
             f"graph feature dim {graph.feature_dim} != model feature dim "
             f"{model.config.feature_dim}"
         )
-    a_hat = normalized_adjacency(graph)
+    a_hat = graph.normalized_adjacency
     h = graph.node_features
-    propagated = []
-    zs = []
+    inputs = []
     for w in model.gcn_weights:
-        ah = a_hat @ h
-        z = ah @ w
-        h = np.maximum(z, 0.0)
-        propagated.append(ah)
-        zs.append(z)
+        inputs.append(h)
+        h = np.maximum((a_hat @ h) @ w, 0.0)
     if cache is not None:
         cache["a_hat"] = a_hat
-        cache["gcn_propagated"] = propagated
-        cache["gcn_preacts"] = zs
+        cache["gcn_inputs"] = inputs
     return h
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    n, total = x.shape
-    return x.reshape(n, n_heads, total // n_heads).transpose(1, 0, 2)
+    """(..., n, heads * d) -> (..., heads, n, d)."""
+    return x.reshape(*x.shape[:-1], n_heads, -1).swapaxes(-2, -3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    n_heads, n, dim = x.shape
-    return x.transpose(1, 0, 2).reshape(n, n_heads * dim)
+    """(..., heads, n, d) -> (..., n, heads * d)."""
+    x = x.swapaxes(-2, -3)
+    return x.reshape(*x.shape[:-2], -1)
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, in place: a stack's (G, heads, n, n)
+    scores are its largest array, so no copy of them is made."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
-def attention_forward(model: Model, h: np.ndarray, cache: dict | None = None):
+def attention_forward(model: Model, h: np.ndarray, cache: dict | None = None,
+                      mask: np.ndarray | None = None):
     """Multi-head scaled dot-product self-attention over node tokens, heads
-    concatenated and linearly mixed.  Every softmax row sums to one."""
-    if h.shape[0] == 0:
+    concatenated and linearly mixed.  Every softmax row sums to one.
+
+    With a (G, n) `mask` of real nodes, padded keys score -inf, so their
+    weight is exactly 0, and padded queries get all-zero weights, so their
+    output rows are zero."""
+    if h.shape[-2] == 0:
         raise GtnnError("attention needs at least one node")
     cfg = model.config
     q = _split_heads(h @ model.w_q, cfg.n_attention_heads)
     k = _split_heads(h @ model.w_k, cfg.n_attention_heads)
     v = _split_heads(h @ model.w_v, cfg.n_attention_heads)
-    scores = q @ k.transpose(0, 2, 1) / np.sqrt(cfg.key_dim)
+    scores = q @ k.swapaxes(-1, -2)
+    scores /= np.sqrt(cfg.key_dim)
+    if mask is not None:
+        scores += np.where(mask, 0.0, -np.inf)[:, None, None, :]
     attn = _softmax_rows(scores)
+    if mask is not None:
+        attn *= mask[:, None, :, None]
     heads = attn @ v
     concat = _merge_heads(heads)
     out = concat @ model.w_o
     if cache is not None:
         cache.update(attn_h=h, attn_q=q, attn_k=k, attn_v=v,
-                     attn_weights=attn, attn_concat=concat)
+                     attn_weights=attn, attn_concat_sum=concat.sum(axis=-2))
     return out
 
 
-def forward(model: Model, graph: FeatureGraph, cache: dict | None = None) -> np.ndarray:
-    """GCN stack -> node self-attention -> mean pooling -> signed dense head."""
+def forward(model: Model, graph: FeatureGraph | GraphStack,
+            cache: dict | None = None) -> np.ndarray:
+    """GCN stack -> node self-attention -> mean pooling -> signed dense head.
+
+    One graph gives theta of shape (n_players,); a G-graph stack gives
+    (G, n_players), its mean pool summing real nodes only."""
+    if isinstance(graph, GraphStack):
+        mask, counts = graph.mask, graph.n_nodes
+    else:
+        mask, counts = None, graph.n_nodes
     h = gcn_forward(model, graph, cache)
-    refined = attention_forward(model, h, cache)
-    pooled = refined.mean(axis=0)
-    theta = model.w_out @ pooled + model.b_out
+    refined = attention_forward(model, h, cache, mask)
+    pooled = refined.sum(axis=-2) / counts
+    theta = pooled @ model.w_out.T + model.b_out
     if cache is not None:
-        cache.update(pooled=pooled, n_nodes=graph.n_nodes)
+        cache.update(pooled=pooled, n_nodes=counts)
     return theta
 
 
@@ -213,63 +270,91 @@ def _check_target(model: Model, sample: TrainSample) -> None:
         raise GtnnError("target player count does not match the model")
 
 
-def loss(model: Model, sample: TrainSample, cache: dict | None = None) -> float:
+def loss(model: Model, sample: TrainSample) -> float:
     """Mean squared error between predicted and target values over all
     2**N coalitions."""
     _check_target(model, sample)
-    theta = forward(model, sample.graph, cache)
-    design = _design(model.coupling)
-    residual = design @ theta - sample.target.values
-    if cache is not None:
-        cache.update(residual=residual, design=design)
+    residual = coalition_values(forward(model, sample.graph),
+                                model.coupling) - sample.target.values
     return float(np.mean(residual**2))
 
 
-def backward_with_loss(model: Model,
-                       sample: TrainSample) -> tuple[dict[str, np.ndarray], float]:
-    """Exact gradients of the coalition MSE w.r.t. every trainable weight,
-    keyed like `Model.trainable()`, and the loss itself."""
-    cache: dict = {}
-    value = loss(model, sample, cache)
+def backward_with_loss(model: Model, samples: Sequence[TrainSample]
+                       ) -> tuple[dict[str, np.ndarray], float]:
+    """Exact gradients of the minibatch mean coalition MSE w.r.t. every
+    trainable weight, keyed like `Model.trainable()`, and that loss.
+
+    The samples are folded by graph identity into their G distinct graphs,
+    which make one forward and one backward pass as a padded stack
+    (`stack_graphs`).  The head's residual stays per sample, so the k
+    members of graph g send theta_g k times the gradient at their mean
+    target t_bar, and the loss is exactly the per-sample mean,
+    sum_g (k * l(t_bar) + sum_i mean((t_i - t_bar)**2)) / len(samples).
+    """
+    if not samples:
+        raise GtnnError("a minibatch needs at least one sample")
+    for sample in samples:
+        _check_target(model, sample)
+    # GraphCache hands out one FeatureGraph per string; rows[i] is the stack
+    # row of sample i's graph, in order of first appearance.
+    first: dict[int, int] = {}
+    rows = [first.setdefault(id(s.graph), len(first)) for s in samples]
+    graphs = list({id(s.graph): s.graph for s in samples}.values())
     cfg = model.config
-    design = cache["design"]
+    cache: dict = {}
+    theta = forward(model, stack_graphs(graphs), cache)
+    design = _design(model.coupling)
+    targets = np.stack([sample.target.values for sample in samples])
+    residual = (theta @ design.T)[rows] - targets
+    value = float(np.mean(residual**2))
 
-    d_pred = 2.0 * cache["residual"] / design.shape[0]
-    d_theta = design.T @ d_pred
-    d_w_out = np.outer(d_theta, cache["pooled"])
-    # Mean pooling hands every node token the same gradient row.
-    d_row = (model.w_out.T @ d_theta) / cache["n_nodes"]
+    # Each sample's residual flows back to its graph's row of theta.
+    members = np.arange(len(graphs))[:, None] == np.array(rows)
+    d_theta = (members @ residual) @ design * (2.0 / residual.size)
+    d_w_out = d_theta.T @ cache["pooled"]
+    # Mean pooling hands every real node token of a graph the same row.
+    d_row = (d_theta @ model.w_out) / cache["n_nodes"]
 
-    # Attention backward.
-    concat = cache["attn_concat"]
-    d_w_o = np.outer(concat.sum(axis=0), d_row)
-    d_concat = np.broadcast_to(d_row @ model.w_o.T, concat.shape)
-    d_heads = _split_heads(d_concat, cfg.n_attention_heads)
-    attn, q, k, v = (cache["attn_weights"], cache["attn_q"], cache["attn_k"],
-                     cache["attn_v"])
-    d_attn = d_heads @ v.transpose(0, 2, 1)
-    d_v = attn.transpose(0, 2, 1) @ d_heads
-    d_scores = (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)) * attn
-    d_scores /= np.sqrt(cfg.key_dim)
-    d_q = d_scores @ k
-    d_k = d_scores.transpose(0, 2, 1) @ q
-    d_q, d_k, d_v = _merge_heads(d_q), _merge_heads(d_k), _merge_heads(d_v)
-    h_l = cache["attn_h"]
-    d_w_q, d_w_k, d_w_v = h_l.T @ d_q, h_l.T @ d_k, h_l.T @ d_v
-    d_h = d_q @ model.w_q.T + d_k @ model.w_k.T + d_v @ model.w_v.T
+    # Attention backward.  Every query row of a graph gets the same upstream
+    # gradient d_heads, so d_attn[i, j] = c_j and d_scores[i, j] =
+    # attn[i, j] (c_j - attn_c_i) / sqrt(dk), attn_c = attn @ c.  d_q
+    # and d_k are expanded over that product, so no (G, heads, n, n) array
+    # beyond attn is made.  Padded queries and keys have zero weight, so no
+    # gradient reaches padded tokens.
+    attn, q, k, v = (cache.pop("attn_weights"), cache.pop("attn_q"),
+                     cache.pop("attn_k"), cache.pop("attn_v"))
+    d_w_o = cache["attn_concat_sum"].T @ d_row
+    d_heads = _split_heads((d_row @ model.w_o.T)[:, None, :], cfg.n_attention_heads)
+    c = (d_heads @ v.swapaxes(-1, -2)).swapaxes(-1, -2)
+    attn_c = attn @ c
+    attn_t = attn.swapaxes(-1, -2)
+    scale = 1.0 / np.sqrt(cfg.key_dim)
+    d_q = _merge_heads((attn @ (c * k) - attn_c * (attn @ k)) * scale)
+    d_k = _merge_heads((c * (attn_t @ q) - attn_t @ (attn_c * q)) * scale)
+    d_v = _merge_heads(attn.sum(axis=-2)[..., None] * d_heads)
+    del attn, attn_t, q, k, v  # the largest arrays, no longer read
+    h_l = _rows(cache["attn_h"])
+    d_w_q, d_w_k, d_w_v = (h_l.T @ _rows(d_q), h_l.T @ _rows(d_k),
+                           h_l.T @ _rows(d_v))
+    d_h = d_q @ model.w_q.T
+    d_h += d_k @ model.w_k.T
+    d_h += d_v @ model.w_v.T
 
-    # GCN backward; the input features need no gradient.
-    a_hat = cache["a_hat"]
+    # GCN backward; a layer's ReLU output is the next layer's input, and the
+    # input features need no gradient.
+    a_hat_t = cache["a_hat"].swapaxes(-1, -2)
+    inputs = cache["gcn_inputs"]
+    outputs = inputs[1:] + [cache["attn_h"]]
     d_gcn = [None] * len(model.gcn_weights)
     for layer in reversed(range(len(model.gcn_weights))):
-        d_z = d_h * (cache["gcn_preacts"][layer] > 0.0)
-        d_gcn[layer] = cache["gcn_propagated"][layer].T @ d_z
+        d_ah = a_hat_t @ (d_h * (outputs[layer] > 0.0))
+        d_gcn[layer] = _rows(inputs[layer]).T @ _rows(d_ah)
         if layer:
-            d_h = a_hat.T @ d_z @ model.gcn_weights[layer].T
+            d_h = d_ah @ model.gcn_weights[layer].T
 
     grads = {f"gcn_{i}": g for i, g in enumerate(d_gcn)}
     grads.update(w_q=d_w_q, w_k=d_w_k, w_v=d_w_v, w_o=d_w_o,
-                 w_out=d_w_out, b_out=d_theta)
+                 w_out=d_w_out, b_out=d_theta.sum(axis=0))
     return grads, value
 
 
@@ -284,43 +369,29 @@ class TrainConfig:
     eps: float = 1e-8
     shuffle: bool = True
 
-
-def _fold(samples: list[TrainSample], targets: np.ndarray,
-          members: list[int]) -> tuple[TrainSample, float]:
-    """One sample standing in for `members`, which share a graph: that graph
-    at their mean target t_bar, and sum_i mean((t_i - t_bar)**2), the loss
-    their spread about t_bar adds to len(members) * loss(t_bar)."""
-    first = samples[members[0]]
-    if len(members) == 1:
-        return first, 0.0
-    rows = targets[members]
-    mean = rows.mean(axis=0)
-    spread = float(((rows - mean) ** 2).mean(axis=1).sum())
-    target = CharacteristicFunction(first.target.n_players, mean)
-    return TrainSample(graph=first.graph, target=target), spread
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise GtnnError("epochs and batch_size must be at least 1")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise GtnnError("learning_rate must be finite and nonnegative")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise GtnnError("beta1 and beta2 must lie in [0, 1)")
+        if not self.eps > 0:
+            raise GtnnError("eps must be positive")
 
 
 def train(samples: list[TrainSample], cfg: TrainConfig,
           model: Model | None = None,
           model_cfg: ModelConfig | None = None) -> tuple[Model, list[float]]:
     """Mini-batch adaptive-moment training; returns the model and per-epoch
-    mean loss history.  Deterministic under fixed seeds.
-
-    The k members of a minibatch that share a graph make one backward pass at
-    their mean target, scaled by k.  The MSE gradient is linear in the
-    residual, so this is exact, and so is the batch loss (see `_fold`).
-    """
+    mean loss history.  Deterministic under fixed seeds.  Each minibatch is
+    one `backward_with_loss` call."""
     if not samples:
         raise GtnnError("training needs a nonempty dataset")
     if model is None:
         model = init_model(model_cfg or ModelConfig())
     for sample in samples:
         _check_target(model, sample)
-    # GraphCache hands out one FeatureGraph per string; group_of[i] is the
-    # index of the first sample holding sample i's graph.
-    first: dict[int, int] = {}
-    group_of = [first.setdefault(id(s.graph), i) for i, s in enumerate(samples)]
-    targets = np.stack([s.target.values for s in samples])
     rng = np.random.default_rng(cfg.seed)
     params = model.trainable()
     moment1 = {k: np.zeros_like(v) for k, v in params.items()}
@@ -333,23 +404,8 @@ def train(samples: list[TrainSample], cfg: TrainConfig,
             rng.shuffle(order)
         epoch_losses = []
         for lo in range(0, len(order), cfg.batch_size):
-            batch = order[lo : lo + cfg.batch_size].tolist()
-            groups: dict[int, list[int]] = {}
-            for i in batch:
-                groups.setdefault(group_of[i], []).append(i)
-            grad_sum: dict[str, np.ndarray] | None = None
-            batch_loss = 0.0
-            for members in groups.values():
-                folded, spread = _fold(samples, targets, members)
-                g, folded_loss = backward_with_loss(model, folded)
-                k = len(members)
-                batch_loss += k * folded_loss + spread
-                if grad_sum is None:
-                    grad_sum = {key: k * v for key, v in g.items()}
-                else:
-                    for key in grad_sum:
-                        grad_sum[key] += k * g[key]
-            batch_loss /= len(batch)
+            batch = [samples[i] for i in order[lo : lo + cfg.batch_size]]
+            grads, batch_loss = backward_with_loss(model, batch)
             epoch_losses.append(batch_loss)
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(
@@ -360,7 +416,7 @@ def train(samples: list[TrainSample], cfg: TrainConfig,
             step += 1
             params = model.trainable()
             for key in params:
-                g = grad_sum[key] / len(batch)
+                g = grads[key]
                 moment1[key] = cfg.beta1 * moment1[key] + (1 - cfg.beta1) * g
                 moment2[key] = cfg.beta2 * moment2[key] + (1 - cfg.beta2) * g**2
                 m_hat = moment1[key] / (1 - cfg.beta1**step)

@@ -18,7 +18,7 @@ import numpy as np
 from . import game, grammar as grammar_mod, gtnn, kinematics, metaparse
 from .game import CharacteristicFunction, SensorSpec
 from .grammar import Grammar, GrammarError, GenerationLimitError, DeadEndError
-from .gtnn import ModelConfig, TrainConfig, TrainSample
+from .gtnn import GtnnError, ModelConfig, TrainConfig, TrainSample
 from .kinematics import KalmanConfig, MultiTargetFrame
 from .lcfrs import ParseError, lcfrs_for
 from .metaparse import FeatureGraph
@@ -195,7 +195,7 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         if "q_grid" in scalars:
             scalars["q_grid"] = tuple(float(q) for q in scalars["q_grid"])
         cfg = ExperimentConfig(classes=classes, model=model, train=train, **scalars)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, GtnnError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
     if not cfg.classes:
         cfg = replace(

@@ -26,18 +26,26 @@ def char_head(theta: np.ndarray, coupling: np.ndarray, mask: int) -> float:
 
 def backward(model: Model, sample: TrainSample) -> dict[str, np.ndarray]:
     """Exact gradients of the coalition MSE w.r.t. every trainable weight."""
-    grads, _ = backward_with_loss(model, sample)
+    grads, _ = backward_with_loss(model, [sample])
     return grads
 
 
-def gradient_check(model: Model, sample: TrainSample, step: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
+def gradient_check(model: Model, samples: TrainSample | list[TrainSample],
+                   step: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients
+    of the mean loss of one sample or of a minibatch, the finite differences
+    taken on the per-sample `loss` with no folding or stacking.
 
     Relative error per component is |fd - g| / max(|fd| + |g|, 1e-6); the
     floor keeps float cancellation noise on near-zero components from
     registering as disagreement.
     """
-    analytic = backward(model, sample)
+    batch = samples if isinstance(samples, list) else [samples]
+    analytic, _ = backward_with_loss(model, batch)
+
+    def batch_loss():
+        return float(np.mean([loss(model, s) for s in batch]))
+
     params = model.trainable()
     worst = 0.0
     for name, w in params.items():
@@ -46,9 +54,9 @@ def gradient_check(model: Model, sample: TrainSample, step: float = 1e-5) -> flo
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            up = loss(model, sample)
+            up = batch_loss()
             flat[i] = orig - step
-            down = loss(model, sample)
+            down = batch_loss()
             flat[i] = orig
             fd = (up - down) / (2.0 * step)
             rel = abs(fd - gflat[i]) / max(abs(fd) + abs(gflat[i]), 1e-6)
@@ -81,7 +89,7 @@ def train_per_sample(samples: list[TrainSample], cfg: TrainConfig,
             grad_sum: dict[str, np.ndarray] | None = None
             batch_loss = 0.0
             for sample in batch:
-                g, sample_loss = backward_with_loss(model, sample)
+                g, sample_loss = backward_with_loss(model, [sample])
                 batch_loss += sample_loss
                 if grad_sum is None:
                     grad_sum = g

@@ -76,6 +76,23 @@ def test_bad_config_value_is_config_error(tmp_path, capsys):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("variable, value, command", [
+    ("GROUPINTENT_MODEL__HIDDEN_DIM", "0", "sweep"),
+    ("GROUPINTENT_TRAIN__BATCH_SIZE", "0", "sweep"),
+    ("GROUPINTENT_TRAIN__BATCH_SIZE", "-4", "sweep"),
+    ("GROUPINTENT_TRAIN__EPOCHS", "0", "train"),
+], ids=["hidden_dim=0", "batch_size=0", "batch_size=-4", "epochs=0"])
+def test_bad_model_or_train_setting_is_config_error(
+    tmp_path, tiny_config_path, capsys, monkeypatch, variable, value, command
+):
+    monkeypatch.setenv(variable, value)
+    out_dir = tmp_path / "out"
+    rc = main([command, "--config", tiny_config_path, "--out", str(out_dir)])
+    assert rc == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_gen_data_then_train_then_eval(tmp_path, tiny_config_path, capsys):
     out_dir = str(tmp_path / "out")
     rc = main(["gen-data", "--config", tiny_config_path, "--out", out_dir])

@@ -14,6 +14,7 @@ from groupintent.gtnn import (
     TrainSample,
     TrainingDivergedError,
     attention_forward,
+    backward_with_loss,
     coalition_values,
     evaluate,
     forward,
@@ -23,7 +24,7 @@ from groupintent.gtnn import (
     mean_loss,
     model_from_json,
     model_to_json,
-    normalized_adjacency,
+    stack_graphs,
     train,
 )
 from groupintent.metaparse import FeatureGraph, parse, tree_to_graph
@@ -97,6 +98,17 @@ def test_invalid_config_rejected():
         ModelConfig(hidden_dim=0)
 
 
+@pytest.mark.parametrize("bad", [
+    {"epochs": 0}, {"batch_size": 0}, {"batch_size": -4},
+    {"learning_rate": -1e-3}, {"learning_rate": float("inf")},
+    {"learning_rate": float("nan")}, {"beta1": 1.0}, {"beta2": -0.1},
+    {"eps": 0.0},
+], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_invalid_train_config_rejected(bad):
+    with pytest.raises(GtnnError):
+        TrainConfig(**bad)
+
+
 def test_coupling_frozen_by_training():
     model = init_model(SMALL)
     lam_before = model.coupling.copy()
@@ -154,8 +166,8 @@ def test_shared_tensors_are_cached_and_read_only():
     m = coalition_matrix(3)
     assert m is coalition_matrix(3)
     graph = random_graph(np.random.default_rng(0))
-    a_hat = normalized_adjacency(graph)
-    assert a_hat is normalized_adjacency(graph)
+    a_hat = graph.normalized_adjacency
+    assert a_hat is graph.normalized_adjacency
     for array in (m, a_hat):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -372,6 +384,93 @@ def test_zero_loss_zero_gradients():
         assert np.allclose(g, 0.0), name
 
 
+# --- stacked minibatch pass -------------------------------------------------
+
+
+def mixed_minibatch(seed=12):
+    """One minibatch over graphs of 1, 3 and 6 nodes, the 6-node graph three
+    times and the 1-node graph twice, each time under its own target."""
+    rng = np.random.default_rng(seed)
+    graphs = [random_graph(rng, n_nodes=n, feature_dim=SMALL.feature_dim)
+              for n in (6, 1, 3)]
+    samples = []
+    for graph in (graphs[0], graphs[1], graphs[2], graphs[0], graphs[0], graphs[1]):
+        table = np.abs(rng.normal(size=2**SMALL.n_players))
+        table[0] = 0.0
+        samples.append(TrainSample(graph=graph,
+                                   target=CharacteristicFunction(SMALL.n_players, table)))
+    return samples
+
+
+def test_gradient_check_mixed_minibatch():
+    samples = mixed_minibatch()
+    worst = 0.0
+    for seed in range(2):
+        model = init_model(ModelConfig(feature_dim=6, hidden_dim=8,
+                                       n_gcn_layers=2, n_attention_heads=2,
+                                       key_dim=3, n_players=3, seed=seed))
+        worst = max(worst, gradient_check(model, samples))
+    assert worst < 1e-4
+
+
+def test_minibatch_pass_is_mean_of_sample_passes():
+    model = init_model(SMALL)
+    samples = mixed_minibatch()
+    grads, value = backward_with_loss(model, samples)
+    singles = [backward_with_loss(model, [s]) for s in samples]
+    assert value == pytest.approx(np.mean([loss(model, s) for s in samples]),
+                                  rel=1e-12)
+    assert value == pytest.approx(np.mean([v for _, v in singles]), rel=1e-12)
+    for name, g in grads.items():
+        expected = np.mean([single[name] for single, _ in singles], axis=0)
+        np.testing.assert_allclose(g, expected, rtol=1e-10, atol=1e-14)
+
+
+def test_padding_leaves_each_graph_unchanged():
+    model = init_model(SMALL)
+    rng = np.random.default_rng(8)
+    small = random_graph(rng, n_nodes=2, feature_dim=SMALL.feature_dim)
+    large = random_graph(rng, n_nodes=7, feature_dim=SMALL.feature_dim)
+    stack = stack_graphs([small, large])
+    assert stack.node_features.shape == (2, 7, SMALL.feature_dim)
+    cache = {}
+    theta = forward(model, stack, cache)
+    assert theta.shape == (2, SMALL.n_players)
+    np.testing.assert_allclose(theta[0], forward(model, small), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(theta[1], forward(model, large), rtol=0, atol=1e-12)
+    # Padded nodes stay zero through the GCN and take no attention.
+    for h in cache["gcn_inputs"] + [cache["attn_h"]]:
+        assert np.all(h[0, 2:] == 0.0)
+    weights = cache["attn_weights"]  # (graph, head, query, key)
+    assert np.all(weights[0, :, :, 2:] == 0.0)
+    assert np.all(weights[0, :, 2:, :] == 0.0)
+    np.testing.assert_allclose(weights[0, :, :2].sum(axis=-1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(weights[1].sum(axis=-1), 1.0, atol=1e-12)
+
+
+def test_single_graph_stack_is_unpadded():
+    graph = random_graph(np.random.default_rng(9), feature_dim=SMALL.feature_dim)
+    stack = stack_graphs([graph])
+    assert stack.mask is None
+    assert stack.node_features.shape == (1,) + graph.node_features.shape
+
+
+def test_zero_node_graph_in_a_batch_rejected():
+    model = init_model(SMALL)
+    empty = FeatureGraph(node_features=np.zeros((0, SMALL.feature_dim)), edges=())
+    samples = [random_sample(0), TrainSample(graph=empty, target=random_sample(1).target)]
+    with pytest.raises(GtnnError):
+        backward_with_loss(model, samples)
+    with pytest.raises(GtnnError):
+        train(samples, TrainConfig(epochs=1, seed=0), model=model)
+    with pytest.raises(GtnnError):
+        backward_with_loss(model, [])
+    other_dim = FeatureGraph(node_features=np.zeros((3, SMALL.feature_dim + 1)),
+                             edges=((0, 1),))
+    with pytest.raises(GtnnError):
+        stack_graphs([random_sample(0).graph, other_dim])
+
+
 # --- train / evaluate -------------------------------------------------------
 
 
@@ -436,6 +535,7 @@ def test_training_folds_each_minibatch_by_graph(monkeypatch):
     cfg = TrainConfig(epochs=3, batch_size=8, seed=0)
     train([random_sample(0)] * 20, cfg, model_cfg=SMALL)
     assert len(calls) == cfg.epochs * 3  # minibatches of 8, 8 and 4
+    assert [len(batch) for batch in calls] == [8, 8, 4] * cfg.epochs
 
 
 def test_evaluation_runs_one_forward_per_distinct_graph(monkeypatch):
