@@ -209,8 +209,44 @@ def _snap(pi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _nonnegative_efficient(pi: np.ndarray, grand_value: float) -> np.ndarray:
+    """Snap a solver's vertex, then undo its tolerance-sized negative payoffs:
+    clip them to zero and rescale the rest back to sum(pi) = u(N)."""
+    out = _snap(pi)
+    if np.all(out >= 0.0):
+        return out
+    out = np.maximum(out, 0.0)
+    total = out.sum()
+    if total > 0.0:
+        return out * (grand_value / total)
+    return np.full(len(out), grand_value / len(out))
+
+
 def nucleolus(u: CharacteristicFunction) -> np.ndarray:
-    """Nucleolus over the nonnegative efficient set, by sequential LPs.
+    """Nucleolus over the nonnegative efficient set.
+
+    An additive game with nonnegative singletons has its singleton vector
+    u({i}) as nucleolus (Schmeidler 1969): that vector leaves every coalition
+    an excess of 0, and any other efficient allocation pays some player i
+    less than u({i}), which leaves {i} a positive excess.  Every other game
+    goes through the sequential LPs of `_lp_nucleolus`.
+    """
+    n = u.n_players
+    if u.grand_value < -1e-12:
+        raise InfeasibleGameError(
+            "no nonnegative efficient allocation exists: u(N) = "
+            f"{u.grand_value:.6g} < 0 conflicts with pi >= 0 and sum(pi) = u(N)"
+        )
+    if n == 1:
+        return np.array([u.grand_value])
+    singletons = u.values[1 << np.arange(n)]
+    if np.all(singletons >= 0.0) and is_modular(u):
+        return _snap(singletons)
+    return _lp_nucleolus(u)
+
+
+def _lp_nucleolus(u: CharacteristicFunction) -> np.ndarray:
+    """Nucleolus by sequential LPs, for a game with u(N) >= 0 and n >= 2.
 
     Stage LP: minimize the maximum excess over not-yet-fixed proper
     coalitions, subject to efficiency, nonnegativity, and the excesses fixed
@@ -220,14 +256,6 @@ def nucleolus(u: CharacteristicFunction) -> np.ndarray:
     """
     n = u.n_players
     size = 2**n
-    if u.grand_value < -1e-12:
-        raise InfeasibleGameError(
-            "no nonnegative efficient allocation exists: u(N) = "
-            f"{u.grand_value:.6g} < 0 conflicts with pi >= 0 and sum(pi) = u(N)"
-        )
-    if n == 1:
-        return np.array([u.grand_value])
-
     proper = [m for m in range(1, size - 1)]
     member_rows = coalition_matrix(n)  # row mask -> indicator over players
 
@@ -309,8 +337,8 @@ def nucleolus(u: CharacteristicFunction) -> np.ndarray:
                 break
             probe[i] = (lo + hi) / 2.0
         if determined:
-            return _snap(probe)
-    return _snap(pi)
+            return _nonnegative_efficient(probe, u.grand_value)
+    return _nonnegative_efficient(pi, u.grand_value)
 
 
 @dataclass(frozen=True)

@@ -225,10 +225,15 @@ class TraceStep:
     emitted: str | None = None  # realized terminal, for noise expansions only
 
 
-def _match_positions(form: list[Symbol], rules: list[ProductionRule]) -> list[tuple[int, ProductionRule]]:
+def _match_positions(
+    form: list[Symbol], rules_by_first: dict[Symbol, list[ProductionRule]]
+) -> list[tuple[int, ProductionRule]]:
+    """Every (position, rule) whose LHS matches the form there, by position
+    and then in rule order; `rules_by_first` lists the rules, in order, under
+    the first symbol of their LHS."""
     matches = []
-    for pos in range(len(form)):
-        for rule in rules:
+    for pos, sym in enumerate(form):
+        for rule in rules_by_first.get(sym, ()):
             k = len(rule.lhs)
             if pos + k <= len(form) and tuple(form[pos : pos + k]) == rule.lhs:
                 matches.append((pos, rule))
@@ -255,6 +260,9 @@ def derivation_trace(
     rules = g.positive_rules()
     if not rules:
         raise GrammarError("grammar has no positive-probability rules")
+    rules_by_first: dict[Symbol, list[ProductionRule]] = {}
+    for rule in rules:
+        rules_by_first.setdefault(rule.lhs[0], []).append(rule)
     rng = np.random.default_rng(seed)
     terminals_sorted = sorted(g.terminals)
     form: list[Symbol] = [nt(g.start)]
@@ -262,7 +270,7 @@ def derivation_trace(
     for _ in range(max_steps):
         if all(s.kind == "terminal" for s in form):
             return tuple(s.name for s in form), tuple(trace)
-        matches = _match_positions(form, rules)
+        matches = _match_positions(form, rules_by_first)
         if not matches:
             raise DeadEndError(
                 "no rule applies to sentential form "

@@ -188,40 +188,70 @@ class KalmanConfig:
         return self.obs_noise_std**2 * np.eye(4)
 
 
-def kalman_predict(mean, cov, f, q):
-    mean = f @ mean
-    cov = f @ cov @ f.T + q
-    return mean, (cov + cov.T) / 2.0
+# KalmanConfig -> (covariances, transposed gains), both (T, 4, 4) and
+# read-only: row k holds the posterior covariance and the transposed gain of
+# step k (gain row 0 is unused).  Neither depends on the observations
+# (Anderson & Moore 1979), so every track filtered under a config shares one
+# table, extended when a longer track arrives; a shorter track reads a
+# prefix, so a table holds as many steps as the longest track filtered under
+# its config, and past 128 configs the cache starts over.  A gain is kept
+# transposed because the solve returns it in column-major order: `row.T`
+# restores that layout, and with it the summation order of the
+# gain-times-innovation product.
+_gain_tables: dict[KalmanConfig, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def kalman_update(mean, cov, y, h, r):
-    innovation = y - h @ mean
-    s = h @ cov @ h.T + r
-    gain = np.linalg.solve(s.T, (cov @ h.T).T).T
-    mean = mean + gain @ innovation
-    joseph = np.eye(cov.shape[0]) - gain @ h
-    cov = joseph @ cov @ joseph.T + gain @ r @ gain.T
-    return mean, (cov + cov.T) / 2.0
-
-
-def kalman_filter(observations, params: KalmanConfig) -> list[TrackEstimate]:
-    """Standard predict/update recursion; the estimate is the posterior mean."""
-    obs = list(observations)
-    if not obs:
-        return []
-    _check_pd(params.obs_cov(), "observation covariance")
-    _check_pd(params.initial_cov_scale * np.eye(4), "initial covariance")
+def _gain_table(params: KalmanConfig, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The covariance and transposed-gain rows of at least `steps` steps."""
+    table = _gain_tables.get(params)
+    if table is not None and len(table[0]) >= steps:
+        return table
+    if table is None:
+        _check_pd(params.obs_cov(), "observation covariance")
+        _check_pd(params.initial_cov_scale * np.eye(4), "initial covariance")
+        covs = [params.initial_cov_scale * np.eye(4)]
+        gains_t = [np.zeros((4, 4))]
+        if len(_gain_tables) > 128:
+            _gain_tables.clear()
+    else:
+        covs, gains_t = list(table[0]), list(table[1])
     f = params.transition()
     q = params.process_cov()
     r = params.obs_cov()
     h = np.eye(4)
+    cov = covs[-1]
+    while len(covs) < steps:
+        cov = f @ cov @ f.T + q
+        cov = (cov + cov.T) / 2.0
+        s = h @ cov @ h.T + r
+        gain = np.linalg.solve(s.T, (cov @ h.T).T).T
+        joseph = np.eye(4) - gain @ h
+        cov = joseph @ cov @ joseph.T + gain @ r @ gain.T
+        cov = (cov + cov.T) / 2.0
+        covs.append(cov)
+        gains_t.append(gain.T)
+    table = (np.stack(covs), np.stack(gains_t))
+    for arr in table:
+        arr.flags.writeable = False
+    _gain_tables[params] = table
+    return table
+
+
+def kalman_filter(observations, params: KalmanConfig) -> list[TrackEstimate]:
+    """Standard predict/update recursion with H = I; the estimate is the
+    posterior mean.  The covariance and gain of each step come from the
+    config's shared table, so only the mean is computed per track."""
+    obs = list(observations)
+    if not obs:
+        return []
+    covs, gains_t = _gain_table(params, len(obs))
+    f = params.transition()
     mean = obs[0].y.copy()
-    cov = params.initial_cov_scale * np.eye(4)
-    estimates = [TrackEstimate(mean=mean, covariance=cov, timestep=0)]
-    for k, ob in enumerate(obs[1:], start=1):
-        mean, cov = kalman_predict(mean, cov, f, q)
-        mean, cov = kalman_update(mean, cov, ob.y, h, r)
-        estimates.append(TrackEstimate(mean=mean, covariance=cov, timestep=k))
+    estimates = [TrackEstimate(mean=mean, covariance=covs[0], timestep=0)]
+    for k in range(1, len(obs)):
+        mean = f @ mean
+        mean = mean + gains_t[k].T @ (obs[k].y - mean)
+        estimates.append(TrackEstimate(mean=mean, covariance=covs[k], timestep=k))
     return estimates
 
 
@@ -232,6 +262,11 @@ def _check_pd(mat: np.ndarray, label: str) -> None:
         raise KinematicsError(f"{label} is not positive-definite") from exc
 
 
+# One unit row per VELOCITY_TERMINALS entry, in that order.
+_DIRECTIONS = np.stack([direction_vector(name) for name in VELOCITY_TERMINALS])
+_DIRECTIONS.flags.writeable = False
+
+
 def quantize_velocity(v, zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> str:
     """Map a 2-D velocity to the nearest direction terminal, or "0" when the
     speed falls below the threshold.  Antipodal inputs map to negated symbols;
@@ -240,8 +275,7 @@ def quantize_velocity(v, zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> str:
     speed = float(np.linalg.norm(v))
     if speed < zero_threshold:
         return ZERO_TERMINAL
-    dirs = np.stack([direction_vector(name) for name in VELOCITY_TERMINALS])
-    sims = dirs @ (v / speed)
+    sims = _DIRECTIONS @ (v / speed)
     return VELOCITY_TERMINALS[int(np.argmax(sims))]
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .grammar import TRIANGLE_RULE_SPECS, Grammar
@@ -52,6 +53,16 @@ class Lcfrs:
     family_of_tag: dict[str, int]
     n_families: int
 
+    @cached_property
+    def tables(self) -> tuple[tuple, dict, dict]:
+        """What every parse under this LCFRS shares, built at its first
+        parse: the (rule, log-weight) of each positive leaf rule, and the
+        plans and signatures `_sibling_plans` compiles from the positive
+        rules."""
+        positive = [r for r in self.rules if r.weight > 0.0]
+        leaves = tuple((r, math.log(r.weight)) for r in positive if not r.rhs)
+        return (leaves, *_sibling_plans(positive))
+
 
 @dataclass
 class _Entry:
@@ -73,7 +84,34 @@ def _terminal_anchor_options(template, tokens):
     return out
 
 
-def _instantiate(rule, child_spans, tokens):
+@dataclass(frozen=True)
+class _CompiledRule:
+    """A rule with its log-weight and each component template split at its
+    first variable: (child, component) of that anchor, the pieces before it
+    in reverse, and the pieces after it.  A piece is (terminal, child,
+    component), with terminal None for a child component."""
+
+    rule: LcfrsRule
+    logw: float
+    components: tuple[tuple[int, int, tuple, tuple], ...]
+
+
+def _compile(rule: LcfrsRule) -> _CompiledRule:
+    components = []
+    for template in rule.templates:
+        var_idx = next((i for i, p in enumerate(template) if p[0] == "v"), None)
+        if var_idx is None:
+            raise AssertionError("non-leaf rule with variable-free component")
+        pieces = [(p[1], 0, 0) if p[0] == "t" else (None, p[1], p[2])
+                  for p in template]
+        _, ci, cj = template[var_idx]
+        components.append((ci, cj, tuple(reversed(pieces[:var_idx])),
+                           tuple(pieces[var_idx + 1 :])))
+    return _CompiledRule(rule=rule, logw=math.log(rule.weight),
+                         components=tuple(components))
+
+
+def _instantiate(compiled: _CompiledRule, child_spans, tokens):
     """Compute LHS spans for fixed child spans; None if inconsistent.
 
     Each component template is anchored at its first variable, then walked
@@ -83,46 +121,31 @@ def _instantiate(rule, child_spans, tokens):
     n = len(tokens)
     comp_spans = []
     positions: list[tuple[int, str]] = []
-    for template in rule.templates:
-        var_idx = next((i for i, p in enumerate(template) if p[0] == "v"), None)
-        if var_idx is None:
-            raise AssertionError("non-leaf rule with variable-free component")
-        _, ci, cj = template[var_idx]
+    for ci, cj, left, right in compiled.components:
         start, end = child_spans[ci][cj]
-        local: list[tuple[int, str]] = []
-        ok = True
-        for piece in reversed(template[:var_idx]):
-            if piece[0] == "t":
-                start -= 1
-                if start < 0 or tokens[start] != piece[1]:
-                    ok = False
-                    break
-                local.append((start, piece[1]))
-            else:
-                s2, e2 = child_spans[piece[1]][piece[2]]
+        for terminal, c, j in left:
+            if terminal is None:
+                s2, e2 = child_spans[c][j]
                 if e2 != start:
-                    ok = False
-                    break
+                    return None
                 start = s2
-        if not ok:
-            return None
-        for piece in template[var_idx + 1 :]:
-            if piece[0] == "t":
-                if end >= n or tokens[end] != piece[1]:
-                    ok = False
-                    break
-                local.append((end, piece[1]))
-                end += 1
             else:
-                s2, e2 = child_spans[piece[1]][piece[2]]
+                start -= 1
+                if start < 0 or tokens[start] != terminal:
+                    return None
+                positions.append((start, terminal))
+        for terminal, c, j in right:
+            if terminal is None:
+                s2, e2 = child_spans[c][j]
                 if s2 != end:
-                    ok = False
-                    break
+                    return None
                 end = e2
-        if not ok:
-            return None
+            else:
+                if end >= n or tokens[end] != terminal:
+                    return None
+                positions.append((end, terminal))
+                end += 1
         comp_spans.append((start, end))
-        positions.extend(local)
     # Components must be ordered and disjoint.
     for (_, e1), (s2, _) in zip(comp_spans, comp_spans[1:]):
         if e1 > s2:
@@ -131,8 +154,9 @@ def _instantiate(rule, child_spans, tokens):
 
 
 def _sibling_plans(rules):
-    """Per child nonterminal, its (rule, popped slot, lookups) plans, and per
-    nonterminal, the signatures its final items are indexed under.
+    """Per child nonterminal, its (compiled rule, popped slot, checks,
+    lookups) plans, and per nonterminal, the signatures its final items are
+    indexed under.  The checks are `_popped_checks`'.
 
     Consecutive variables of a template with g terminals between them must
     abut across the gap: start of the right one = end of the left one + g.
@@ -146,6 +170,9 @@ def _sibling_plans(rules):
     plans: dict[str, list] = {}
     signatures: dict[str, set] = {}
     for rule in rules:
+        if not rule.rhs:
+            continue
+        compiled = _compile(rule)
         links = []
         for template in rule.templates:
             prev, gap = None, 0
@@ -157,6 +184,7 @@ def _sibling_plans(rules):
                     links.append((prev, piece[1:], gap))
                 prev, gap = piece[1:], 0
         for slot, child_nt in enumerate(rule.rhs):
+            checks = _popped_checks(rule, slot, links)
             fixed = {slot}
             lookups = []
             while len(fixed) < len(rule.rhs):
@@ -182,8 +210,47 @@ def _sibling_plans(rules):
                 lookups.append((sib, signature, sources))
                 signatures.setdefault(rule.rhs[sib], set()).add(signature)
                 fixed.add(sib)
-            plans.setdefault(child_nt, []).append((rule, slot, lookups))
-    return plans, signatures
+            plans.setdefault(child_nt, []).append(
+                (compiled, slot, checks, tuple(lookups)))
+    return plans, {nt: tuple(sorted(sigs)) for nt, sigs in signatures.items()}
+
+
+def _popped_checks(rule, slot, links):
+    """What the popped item must meet on its own for the rule to apply:
+    (component, component, gap) for two of its components linked across a
+    gap, and (component, side, offset, terminal) for each token next to one
+    of its components with only terminals in between.  `_instantiate`
+    checks each of these too, so a popped item that fails one is skipped
+    before its siblings are looked up, without losing a derivation."""
+    self_links = tuple((x, y, gap) for (a, x), (b, y), gap in links
+                       if a == b == slot)
+    terminals = []
+    for template in rule.templates:
+        for i, piece in enumerate(template):
+            if piece[0] != "v" or piece[1] != slot:
+                continue
+            j = i - 1
+            while j >= 0 and template[j][0] == "t":
+                terminals.append((piece[2], 0, j - i, template[j][1]))
+                j -= 1
+            j = i + 1
+            while j < len(template) and template[j][0] == "t":
+                terminals.append((piece[2], 1, j - i - 1, template[j][1]))
+                j += 1
+    return self_links, tuple(terminals)
+
+
+def _fits(spans, tokens, checks) -> bool:
+    self_links, terminals = checks
+    for x, y, gap in self_links:
+        if spans[y][0] != spans[x][1] + gap:
+            return False
+    n = len(tokens)
+    for comp, side, offset, terminal in terminals:
+        pos = spans[comp][side] + offset
+        if pos < 0 or pos >= n or tokens[pos] != terminal:
+            return False
+    return True
 
 
 def parse_chart(lcfrs: Lcfrs, tokens: list[str]):
@@ -203,13 +270,16 @@ def parse_chart(lcfrs: Lcfrs, tokens: list[str]):
     boundaries, and a third CFG child on its chain neighbour.
     `_instantiate` accepts a combination only if consecutive pieces of every
     template abut, which forces each of those equalities, so the index skips
-    only combinations it would reject and no derivation is lost.
+    only combinations it would reject and no derivation is lost.  For the
+    same reason a popped item is first held to what a rule asks of it alone
+    (`_popped_checks`), and a rule it fails is not tried.  The compiled
+    rules, plans and checks are built once per LCFRS (`Lcfrs.tables`).
 
     Ties in weight (within 1e-12 in log space) break toward the
     lexicographically smallest pre-order rule-id sequence, which makes golden
     trees deterministic.
     """
-    rules = [r for r in lcfrs.rules if r.weight > 0.0]
+    leaves, plans, signatures = lcfrs.tables
     chart: dict[tuple[str, Spans], _Entry] = {}
     popped: set[tuple[str, Spans]] = set()
     agenda: list[tuple[int, float, tuple[str, Spans]]] = []
@@ -228,9 +298,7 @@ def parse_chart(lcfrs: Lcfrs, tokens: list[str]):
         heapq.heappush(agenda, (sum(e - s for s, e in spans), -entry.logw, key))
 
     # Leaves: rules with no children enumerate terminal anchors per component.
-    for rule in rules:
-        if rule.rhs:
-            continue
+    for rule, logw in leaves:
         options = [_terminal_anchor_options(tpl, tokens) for tpl in rule.templates]
         for combo in product(*options):
             if any(e1 > s2 for (_, e1), (s2, _) in zip(combo, combo[1:])):
@@ -243,7 +311,7 @@ def parse_chart(lcfrs: Lcfrs, tokens: list[str]):
                 rule.lhs,
                 tuple(combo),
                 _Entry(
-                    logw=math.log(rule.weight),
+                    logw=logw,
                     tagseq=rule.tags,
                     rule=rule,
                     children=(),
@@ -251,7 +319,6 @@ def parse_chart(lcfrs: Lcfrs, tokens: list[str]):
                 ),
             )
 
-    plans, signatures = _sibling_plans(rules)
     # (nonterminal, signature, boundary values) -> final spans, in pop order.
     index: dict[tuple, list[Spans]] = {}
 
@@ -264,23 +331,30 @@ def parse_chart(lcfrs: Lcfrs, tokens: list[str]):
         for signature in signatures.get(nt, ()):
             values = tuple(spans[comp][side] for comp, side in signature)
             index.setdefault((nt, signature, values), []).append(spans)
-        for rule, slot, lookups in plans.get(nt, ()):
-            combos = [[spans if j == slot else None for j in range(len(rule.rhs))]]
-            for sib, signature, sources in lookups:
-                combos = [
-                    combo[:sib] + [sib_spans] + combo[sib + 1 :]
-                    for combo in combos
-                    for sib_spans in index.get((rule.rhs[sib], signature, tuple(
-                        combo[c][comp][side] + off for c, comp, side, off in sources
-                    )), ())
-                ]
-            for combo in map(tuple, combos):
-                inst = _instantiate(rule, combo, tokens)
+        for compiled, slot, checks, lookups in plans.get(nt, ()):
+            if not _fits(spans, tokens, checks):
+                continue
+            rule = compiled.rule
+            if lookups:
+                combos = [[spans if j == slot else None for j in range(len(rule.rhs))]]
+                for sib, signature, sources in lookups:
+                    combos = [
+                        combo[:sib] + [sib_spans] + combo[sib + 1 :]
+                        for combo in combos
+                        for sib_spans in index.get((rule.rhs[sib], signature, tuple(
+                            combo[c][comp][side] + off for c, comp, side, off in sources
+                        )), ())
+                    ]
+                combos = map(tuple, combos)
+            else:
+                combos = ((spans,),)
+            for combo in combos:
+                inst = _instantiate(compiled, combo, tokens)
                 if inst is None:
                     continue
                 lhs_spans, positions = inst
                 entries = [chart[(rule.rhs[j], combo[j])] for j in range(len(combo))]
-                logw = math.log(rule.weight) + sum(e.logw for e in entries)
+                logw = compiled.logw + sum(e.logw for e in entries)
                 tagseq = rule.tags + tuple(
                     tag for e in entries for tag in e.tagseq
                 )

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupintent import game
@@ -20,6 +20,8 @@ from groupintent.game import (
     shapley,
 )
 from groupintent.grammar import triangle_assignment, triangle_grammar
+from groupintent.harness import default_config
+from groupintent.lp import solve_lp
 
 
 def cf(values):
@@ -163,6 +165,44 @@ def test_nucleolus_two_player_split():
     # u({1})=1, u({2})=0, u(N)=2: excesses balance at pi=(1.5, 0.5).
     u = cf([0, 1, 0, 2.0])
     assert np.allclose(nucleolus(u), [1.5, 0.5], atol=1e-8)
+
+
+def _counting_lp(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(game, "solve_lp", counted)
+    return calls
+
+
+def test_additive_game_allocates_its_singletons_without_the_lp(monkeypatch):
+    rng = np.random.default_rng(5)
+    games = [fisher_charfn(fisher_sensors([2.0, 3.0, 5.0])), modular_game([0.0, 0.0, 0.0])]
+    games += [modular_game(rng.uniform(0.0, 9.0, size=3)) for _ in range(10)]
+    games += [modular_game(rng.integers(0, 4, size=4).astype(float)) for _ in range(5)]
+    games += [fisher_charfn(list(spec.sensors)) for spec in default_config().classes]
+    calls = _counting_lp(monkeypatch)
+    allocations = [nucleolus(u) for u in games]
+    assert calls == []
+    for u, pi in zip(games, allocations):
+        singletons = u.values[1 << np.arange(u.n_players)]
+        assert np.array_equal(pi, singletons)
+        assert np.allclose(pi, game._lp_nucleolus(u), atol=1e-9)
+    assert len(calls) > 0
+
+
+def test_additive_game_with_a_negative_singleton_uses_the_lp(monkeypatch):
+    u = modular_game([-1.0, 2.0, 3.0])
+    assert is_modular(u)
+    calls = _counting_lp(monkeypatch)
+    pi = nucleolus(u)
+    assert len(calls) > 0
+    assert np.all(pi >= 0.0)
+    assert pi.sum() == pytest.approx(u.grand_value, abs=1e-9)
+    assert np.array_equal(pi, game._lp_nucleolus(u))
 
 
 def grid_lexicographic_oracle(u: CharacteristicFunction, step: float = 1e-3):
@@ -378,6 +418,7 @@ def test_shapley_efficient(u):
 
 
 @given(small_games)
+@example(cf([0, 0, 1, 0, 1, 0, 0, 8.536e-10]))
 @settings(max_examples=15, deadline=None)
 def test_nucleolus_efficient_and_nonnegative(u):
     pi = nucleolus(u)

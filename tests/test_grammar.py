@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupintent import grammar as grammar_mod
 from groupintent.grammar import (
     DeadEndError,
     Grammar,
@@ -203,6 +204,27 @@ def replay_trace(g: Grammar, trace) -> tuple[str, ...]:
     if any(s.kind != "terminal" for s in form):
         raise GrammarError("trace ends with nonterminals remaining")
     return tuple(s.name for s in form)
+
+
+_FORM_SYMBOLS = [nt("S"), nt("D"), nt("B"), nt("C"), t("d"), t("b"), t("c")]
+
+
+@given(st.lists(st.sampled_from(_FORM_SYMBOLS), min_size=1, max_size=14),
+       st.sampled_from([0.0, 0.3]))
+@settings(max_examples=100, deadline=None)
+def test_match_positions_equal_a_scan_of_every_rule(form, q):
+    g = apply_noise(triangle_grammar(), q) if q else triangle_grammar()
+    rules = g.positive_rules()
+    scan = [
+        (pos, rule)
+        for pos in range(len(form))
+        for rule in rules
+        if tuple(form[pos : pos + len(rule.lhs)]) == rule.lhs
+    ]
+    by_first = {}
+    for rule in rules:
+        by_first.setdefault(rule.lhs[0], []).append(rule)
+    assert grammar_mod._match_positions(form, by_first) == scan
 
 
 def test_trace_replay_reproduces_string():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupintent import kinematics
 from groupintent.kinematics import (
     KalmanConfig,
     KinematicsError,
@@ -10,12 +11,11 @@ from groupintent.kinematics import (
     VELOCITY_TERMINALS,
     direction_vector,
     kalman_filter,
-    kalman_predict,
-    kalman_update,
     observe,
     quantize_velocity,
     simulate_track,
 )
+from kalman_oracle import kalman_filter_per_step, kalman_predict, kalman_update
 
 
 # --- simulate_track ---------------------------------------------------------
@@ -189,3 +189,70 @@ def test_zero_noise_round_trip_recovers_terminals():
     estimates = kalman_filter(obs, KalmanConfig())
     recovered = [quantize_velocity(e.velocity) for e in estimates[1:]]
     assert recovered == terminals
+
+
+# --- shared covariance/gain table -------------------------------------------
+
+
+def _random_track(rng, length):
+    terminals = rng.choice(list(VELOCITY_TERMINALS) + ["0"], size=length)
+    schedule = [direction_vector(t) * rng.uniform(0.5, 2.0) for t in terminals]
+    states = simulate_track(schedule, float(rng.choice([0.0, 0.1])), dt=1.0,
+                            seed=int(rng.integers(1 << 30)))
+    return observe(states, float(rng.choice([0.0, 0.05])),
+                   seed=int(rng.integers(1 << 30)))
+
+
+def _assert_bitwise_equal(estimates, expected):
+    assert len(estimates) == len(expected)
+    for got, want in zip(estimates, expected):
+        assert got.timestep == want.timestep
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.covariance.tobytes() == want.covariance.tobytes()
+
+
+def test_filter_matches_per_step_oracle_bitwise():
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        cfg = KalmanConfig(dt=float(rng.uniform(0.1, 2.0)),
+                           process_noise_std=float(rng.uniform(0.01, 3.0)),
+                           obs_noise_std=float(rng.uniform(0.01, 2.0)),
+                           initial_cov_scale=float(rng.uniform(0.1, 5.0)))
+        for length in rng.integers(1, 40, size=2):
+            obs = _random_track(rng, int(length))
+            _assert_bitwise_equal(kalman_filter(obs, cfg),
+                                  kalman_filter_per_step(obs, cfg))
+
+
+def test_gain_table_extends_for_a_longer_track_and_serves_prefixes():
+    rng = np.random.default_rng(7)
+    cfg = KalmanConfig(dt=0.7, process_noise_std=0.3, obs_noise_std=0.11)
+    kinematics._gain_tables.pop(cfg, None)
+    short, long_, shorter = (_random_track(rng, n) for n in (5, 30, 12))
+    _assert_bitwise_equal(kalman_filter(short, cfg), kalman_filter_per_step(short, cfg))
+    assert len(kinematics._gain_tables[cfg][0]) == 6
+    _assert_bitwise_equal(kalman_filter(long_, cfg), kalman_filter_per_step(long_, cfg))
+    table = kinematics._gain_tables[cfg]
+    assert len(table[0]) == 31
+    _assert_bitwise_equal(kalman_filter(shorter, cfg),
+                          kalman_filter_per_step(shorter, cfg))
+    assert kinematics._gain_tables[cfg] is table
+
+
+def test_gain_table_and_estimates_are_read_only():
+    cfg = KalmanConfig(dt=0.9, obs_noise_std=0.2)
+    estimates = kalman_filter(_random_track(np.random.default_rng(1), 8), cfg)
+    for arr in kinematics._gain_tables[cfg]:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 1.0
+    for e in estimates:
+        assert not e.covariance.flags.writeable
+        assert not e.mean.flags.writeable
+
+
+def test_underflowing_observation_covariance_rejected():
+    # obs_noise_std**2 underflows to 0, so R is singular.
+    obs = _random_track(np.random.default_rng(3), 4)
+    with pytest.raises(KinematicsError, match="observation covariance"):
+        kalman_filter(obs, KalmanConfig(obs_noise_std=1e-200))
